@@ -15,7 +15,6 @@ from .diagnostics import (
     free_energy_exact_quadratic,
     free_energy_mc,
     theory_constants,
-    w2_to_optimum,
 )
 from .errors import (
     BwviError,
@@ -29,17 +28,11 @@ from .errors import (
 )
 from .estimators import (
     EstimatorKind,
-    GradientEstimate,
     NoiseBatch,
-    bonnet_location,
     bw_gradient,
     bw_gradient_field,
     draw_noise,
     param_gradient,
-    price_covariance,
-    price_scale,
-    reparam_covariance,
-    reparam_scale,
 )
 from .geometry import (
     AffineMap,

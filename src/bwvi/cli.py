@@ -54,9 +54,12 @@ def _load_config(path: str) -> ExperimentConfig:
     env_seed = os.environ.get("BWVI_SEED")
     if env_seed is not None:
         try:
-            config = replace(config, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError as err:
             raise InvalidParameters(f"BWVI_SEED must be an integer, got {env_seed!r}") from err
+        if seed < 0:
+            raise InvalidParameters(f"BWVI_SEED must be >= 0, got {seed}")
+        config = replace(config, seed=seed)
     return config
 
 
@@ -81,7 +84,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _check_workers(workers: int):
+    if workers < 1:
+        raise InvalidParameters(f"argument '--workers': must be >= 1, got {workers}")
+
+
 def cmd_sweep(args) -> int:
+    _check_workers(args.workers)
     config = _load_config(args.config)
     if args.points < 1:
         raise InvalidParameters(f"argument '--points': must be >= 1, got {args.points}")
@@ -103,6 +112,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_workers(args.workers)
     results = run_suite(args.level, workers=args.workers)
     failed = 0
     for res in results:

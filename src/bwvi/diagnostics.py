@@ -18,16 +18,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, InvalidParameters
-from .estimators import EstimatorKind
+from .estimators import EstimatorKind, stein_weights
 from .geometry import (
     GaussianVariational,
+    _displacement,
+    _sqrt_and_inv_sqrt,
     entropy,
     optimal_transport_map,
     sample,
-    w2_distance_sq,
 )
 from .targets import Potential, PotentialMetadata, QuadraticPotential
 
@@ -38,7 +38,6 @@ __all__ = [
     "free_energy_exact_quadratic",
     "bregman_energy_quadratic",
     "estimator_second_moment",
-    "w2_to_optimum",
     "theory_constants",
 ]
 
@@ -127,16 +126,9 @@ def bregman_energy_quadratic(
     """
     if q.dim != q_star.dim or q.dim != target.dim:
         raise DimensionMismatch("q, q_star and target must share one dimension")
-    s = optimal_transport_map(q, q_star).linear
-    residual = (np.eye(q.dim) - s) @ q.scale
-    dm = q.mean - q_star.mean
+    residual, dm = _displacement(q, _sqrt_and_inv_sqrt(q.sigma), q_star)
     v = residual @ residual.T + np.outer(dm, dm)
     return max(0.0, 0.5 * float(np.sum(target.precision * v)))
-
-
-def w2_to_optimum(q: GaussianVariational, q_star: GaussianVariational) -> float:
-    """Squared distance to the optimum; the convergence success metric."""
-    return w2_distance_sq(q, q_star)
 
 
 def _bw_second_moment_values(
@@ -172,8 +164,7 @@ def _bw_second_moment_values(
             est = g + target.hessian_apply(z, centered)
         else:
             # 2 * (1/2) C^{-T} eps g' applied to (x - m): C^{-T} eps <g, x - m>.
-            w = solve_triangular(q.scale, eps.T, lower=True, trans="T").T
-            est = g + w * np.sum(g * centered, axis=1)[:, None]
+            est = g + stein_weights(q, eps) * np.sum(g * centered, axis=1)[:, None]
     diff = est - ref
     return np.sum(diff * diff, axis=1)
 

@@ -21,6 +21,9 @@ Price's so that both target ``grad_S E = (1/2) E_q[hess U]``; unlike the
 Price form it is not almost surely symmetric and is deliberately left
 unsymmetrized.
 
+``param_gradient`` and ``bw_gradient`` are the entry points, one per
+geometry; Price and exact gradients share one assembly from the mean Hessian.
+
 Noise is counter-based: a batch is reproduced exactly from its lineage
 ``(seed, stream, iteration)``, which is what makes paired comparisons
 across estimators and bit-identical reruns possible.
@@ -41,13 +44,8 @@ from .targets import Potential, QuadraticPotential
 __all__ = [
     "EstimatorKind",
     "NoiseBatch",
-    "GradientEstimate",
     "draw_noise",
-    "bonnet_location",
-    "price_covariance",
-    "price_scale",
-    "reparam_scale",
-    "reparam_covariance",
+    "stein_weights",
     "bw_gradient_field",
     "param_gradient",
     "bw_gradient",
@@ -104,76 +102,36 @@ def draw_noise(dim: int, n_samples: int, seed: int, stream: int = 0, iteration: 
     return NoiseBatch(rng.standard_normal((n_samples, dim)), (seed, stream, iteration))
 
 
-@dataclass(frozen=True)
-class GradientEstimate:
-    """One stochastic estimate of the energy gradient in a given geometry.
+def stein_weights(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
+    """Stein weights ``Sigma^{-1} (Z_k - m) = C^{-T} eps_k``, one row per draw."""
+    return solve_triangular(q.scale, eps.T, lower=True, trans="T").T
 
-    ``geometry`` is ``"param_scale"`` (location + lower-triangular scale
-    gradient) or ``"bw_covariance"`` (location + covariance gradient).
-    ``n_samples`` is 0 for exact (noise-free) gradients.
+
+def _oracle(
+    kind: EstimatorKind, target: Potential, q: GaussianVariational, noise: NoiseBatch | None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``(location_grad, mean_hess, grads)`` from one sample of ``Z``, one
+    ``grad`` call and, for Price, one ``hessian_mean`` call.
+
+    Reparam returns the per-draw gradients in place of a mean Hessian;
+    exact returns ``E_q[hess U]`` and no per-draw gradients.
     """
-
-    location_grad: np.ndarray
-    scale_grad: np.ndarray
-    geometry: str
-    n_samples: int
-
-
-def _check_dims(target: Potential, q: GaussianVariational, noise: NoiseBatch):
+    if kind is EstimatorKind.EXACT:
+        if not isinstance(target, QuadraticPotential):
+            raise InvalidParameters("exact gradients are only available for quadratic targets")
+        loc, mean_hess = target.exact_gradients(q)
+        return loc, mean_hess, None
+    if noise is None:
+        raise InvalidParameters("stochastic estimators require a noise batch")
     if q.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
     if noise.dim != q.dim:
         raise DimensionMismatch(f"noise dimension {noise.dim} != state dimension {q.dim}")
-
-
-def bonnet_location(target: Potential, q: GaussianVariational, noise: NoiseBatch) -> np.ndarray:
-    """Location gradient: mini-batch mean of ``grad U`` at the samples."""
-    _check_dims(target, q, noise)
     z = sample(q, noise.draws)
-    return np.asarray(target.grad(z)).mean(axis=0)
-
-
-def price_covariance(target: Potential, q: GaussianVariational, noise: NoiseBatch) -> np.ndarray:
-    """Covariance gradient via Price's theorem: half the mean Hessian.
-
-    Symmetric by construction (symmetrized against roundoff).
-    """
-    _check_dims(target, q, noise)
-    z = sample(q, noise.draws)
-    return symmetrize(0.5 * target.hessian_mean(z))
-
-
-def price_scale(target: Potential, q: GaussianVariational, noise: NoiseBatch) -> np.ndarray:
-    """Scale gradient via Price's theorem: ``tril(mean_k hess U(Z_k) @ C)``."""
-    _check_dims(target, q, noise)
-    z = sample(q, noise.draws)
-    return np.tril(target.hessian_mean(z) @ q.scale)
-
-
-def reparam_scale(target: Potential, q: GaussianVariational, noise: NoiseBatch) -> np.ndarray:
-    """First-order scale gradient: ``tril(mean_k grad U(Z_k) eps_k')``.
-
-    Requires only gradients of the potential, no Hessians.
-    """
-    _check_dims(target, q, noise)
-    e = noise.draws
-    g = np.asarray(target.grad(sample(q, e)))
-    return np.tril(g.T @ e / noise.n_samples)
-
-
-def reparam_covariance(target: Potential, q: GaussianVariational, noise: NoiseBatch) -> np.ndarray:
-    """First-order covariance gradient via Stein's identity.
-
-    ``(1/2) mean_k Sigma^{-1} (Z_k - m) grad U(Z_k)'``, evaluated stably as
-    ``(1/2) mean_k (C^{-T} eps_k) grad U(Z_k)'`` through a triangular solve.
-    The summands are not almost surely symmetric and the mean is returned
-    unsymmetrized; only its expectation is the symmetric ``grad_S E``.
-    """
-    _check_dims(target, q, noise)
-    e = noise.draws
-    g = np.asarray(target.grad(sample(q, e)))
-    w = solve_triangular(q.scale, e.T, lower=True, trans="T").T
-    return 0.5 * (w.T @ g) / noise.n_samples
+    g = np.asarray(target.grad(z))
+    if kind is EstimatorKind.BONNET_PRICE:
+        return g.mean(axis=0), target.hessian_mean(z), None
+    return g.mean(axis=0), None, g
 
 
 def bw_gradient_field(
@@ -197,31 +155,21 @@ def bw_gradient_field(
     return AffineMap(linear=linear, shift=location_grad - linear @ q.mean)
 
 
-def _exact_gradients(target: Potential, q: GaussianVariational) -> tuple[np.ndarray, np.ndarray]:
-    if not isinstance(target, QuadraticPotential):
-        raise InvalidParameters("exact gradients are only available for quadratic targets")
-    return target.exact_gradients(q)
-
-
 def param_gradient(
     kind: EstimatorKind | str,
     target: Potential,
     q: GaussianVariational,
     noise: NoiseBatch | None,
-) -> GradientEstimate:
-    """Location/scale gradient pair for the parameter-space update."""
-    kind = EstimatorKind(kind)
-    if kind is EstimatorKind.EXACT:
-        loc, mean_hess = _exact_gradients(target, q)
-        return GradientEstimate(loc, np.tril(mean_hess @ q.scale), "param_scale", 0)
-    if noise is None:
-        raise InvalidParameters("stochastic estimators require a noise batch")
-    loc = bonnet_location(target, q, noise)
-    if kind is EstimatorKind.BONNET_PRICE:
-        scale = price_scale(target, q, noise)
-    else:
-        scale = reparam_scale(target, q, noise)
-    return GradientEstimate(loc, scale, "param_scale", noise.n_samples)
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(location_grad, scale_grad)`` for the parameter-space update.
+
+    The scale gradient is ``tril(H @ C)`` from the mean Hessian ``H``
+    (Price, exact) or ``tril(mean_k grad U(Z_k) eps_k')`` (reparam).
+    """
+    loc, mean_hess, g = _oracle(EstimatorKind(kind), target, q, noise)
+    if g is None:
+        return loc, np.tril(mean_hess @ q.scale)
+    return loc, np.tril(g.T @ noise.draws / noise.n_samples)
 
 
 def bw_gradient(
@@ -229,17 +177,14 @@ def bw_gradient(
     target: Potential,
     q: GaussianVariational,
     noise: NoiseBatch | None,
-) -> GradientEstimate:
-    """Location/covariance gradient pair for the Bures-Wasserstein update."""
-    kind = EstimatorKind(kind)
-    if kind is EstimatorKind.EXACT:
-        loc, mean_hess = _exact_gradients(target, q)
-        return GradientEstimate(loc, symmetrize(0.5 * mean_hess), "bw_covariance", 0)
-    if noise is None:
-        raise InvalidParameters("stochastic estimators require a noise batch")
-    loc = bonnet_location(target, q, noise)
-    if kind is EstimatorKind.BONNET_PRICE:
-        cov = price_covariance(target, q, noise)
-    else:
-        cov = reparam_covariance(target, q, noise)
-    return GradientEstimate(loc, cov, "bw_covariance", noise.n_samples)
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(location_grad, covariance_grad)`` for the Bures-Wasserstein update.
+
+    The covariance gradient is ``H / 2`` from the mean Hessian ``H``
+    (Price, exact; symmetrized against roundoff) or the unsymmetrized
+    Stein form ``(1/2) mean_k (C^{-T} eps_k) grad U(Z_k)'`` (reparam).
+    """
+    loc, mean_hess, g = _oracle(EstimatorKind(kind), target, q, noise)
+    if g is None:
+        return loc, symmetrize(0.5 * mean_hess)
+    return loc, 0.5 * (stein_weights(q, noise.draws).T @ g) / noise.n_samples

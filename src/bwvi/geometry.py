@@ -164,6 +164,7 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     by aggressive step sizes.
 
     Raises:
+        NotPositiveDefinite: if an entry of ``a`` is not finite.
         NotSymmetric: if the asymmetry of ``a`` exceeds ``1e-8 * max|a|``.
         IndefiniteMatrix: if an eigenvalue is below ``-1e-10 * ||a||``.
     """
@@ -171,6 +172,8 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     scale = np.max(np.abs(a)) if a.size else 0.0
+    if not math.isfinite(scale):
+        raise NotPositiveDefinite(f"matrix entries must be finite, max |a| = {scale}")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     if asym > 1e-8 * max(scale, 1e-300):
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance for scale {scale:.3e}")
@@ -181,7 +184,10 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     return symmetrize(root)
 
 
-def _sqrt_and_inv_sqrt(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+_Roots = tuple[np.ndarray, np.ndarray]
+
+
+def _sqrt_and_inv_sqrt(sigma: np.ndarray) -> _Roots:
     """Symmetric square root of an SPD matrix and its inverse."""
     w, v = np.linalg.eigh(symmetrize(sigma))
     if w[0] <= 0.0:
@@ -190,11 +196,28 @@ def _sqrt_and_inv_sqrt(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * sw) @ v.T, (v / sw) @ v.T
 
 
-def _transport_linear(p: GaussianVariational, q: GaussianVariational) -> np.ndarray:
-    """Symmetric PD linear part of the optimal transport map from p to q."""
-    root, inv_root = _sqrt_and_inv_sqrt(p.sigma)
+def _transport_linear(p_roots: _Roots, q: GaussianVariational) -> np.ndarray:
+    """Symmetric PD linear part of the optimal transport map from p to q,
+    given ``p_roots = _sqrt_and_inv_sqrt(p.sigma)``."""
+    root, inv_root = p_roots
     inner = matrix_sqrt_psd(symmetrize(root @ q.sigma @ root))
     return symmetrize(inv_root @ inner @ inv_root)
+
+
+def _displacement(
+    p: GaussianVariational, p_roots: _Roots, q: GaussianVariational
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual ``(I - S) C_p`` and mean shift ``m_q - m_p`` of the optimal
+    coupling from p to q; the coupling's second moments are quadratic forms
+    in them."""
+    s = _transport_linear(p_roots, q)
+    return (np.eye(p.dim) - s) @ p.scale, q.mean - p.mean
+
+
+def _coupling_cost(p: GaussianVariational, p_roots: _Roots, q: GaussianVariational) -> float:
+    """Cost ``||m_q - m_p||^2 + ||(I - S) C_p||_F^2`` of the optimal coupling."""
+    residual, dm = _displacement(p, p_roots, q)
+    return float(dm @ dm + np.sum(residual * residual))
 
 
 def w2_distance_sq(p: GaussianVariational, q: GaussianVariational) -> float:
@@ -209,10 +232,7 @@ def w2_distance_sq(p: GaussianVariational, q: GaussianVariational) -> float:
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
-    s = _transport_linear(p, q)
-    residual = (np.eye(p.dim) - s) @ p.scale
-    dm = q.mean - p.mean
-    return float(dm @ dm + np.sum(residual * residual))
+    return _coupling_cost(p, _sqrt_and_inv_sqrt(p.sigma), q)
 
 
 def optimal_transport_map(p: GaussianVariational, q: GaussianVariational) -> AffineMap:
@@ -223,7 +243,7 @@ def optimal_transport_map(p: GaussianVariational, q: GaussianVariational) -> Aff
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
-    s = _transport_linear(p, q)
+    s = _transport_linear(_sqrt_and_inv_sqrt(p.sigma), q)
     return AffineMap(linear=s, shift=q.mean - s @ p.mean)
 
 

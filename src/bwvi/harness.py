@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -86,6 +87,16 @@ def _require(cond: bool, fieldname: str, message: str):
         raise InvalidParameters(f"config field '{fieldname}': {message}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass in Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: no boolean, NaN, Infinity, or integer beyond float range."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object into an ``ExperimentConfig``.
 
@@ -104,56 +115,79 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     kind = target.get("kind")
     _require(kind in ("quadratic", "logistic"), "target.kind", "must be 'quadratic' or 'logistic'")
     if kind == "quadratic":
-        _require(int(target.get("dim", 0)) >= 1, "target.dim", "must be an integer >= 1")
+        dim = target.get("dim")
+        _require(_is_int(dim) and dim >= 1, "target.dim", "must be an integer >= 1")
+        kappa = target.get("condition_number", 1.0)
         _require(
-            float(target.get("condition_number", 1.0)) >= 1.0,
-            "target.condition_number", "must be >= 1",
+            _is_number(kappa) and kappa >= 1.0, "target.condition_number", "must be a number >= 1"
         )
+        target_seed = target.get("seed", 0)
+        _require(
+            _is_int(target_seed) and target_seed >= 0, "target.seed", "must be an integer >= 0"
+        )
+        mu = target.get("strong_convexity", 1.0)
+        _require(_is_number(mu) and mu > 0.0, "target.strong_convexity", "must be a number > 0")
+        center_scale = target.get("center_scale", 1.0)
+        _require(_is_number(center_scale), "target.center_scale", "must be a number")
     else:
         _require(isinstance(target.get("dataset"), str), "target.dataset", "must be a file path")
-        _require(float(target.get("ridge", 0.0)) > 0.0, "target.ridge", "must be > 0")
+        ridge = target.get("ridge")
+        _require(_is_number(ridge) and ridge > 0.0, "target.ridge", "must be a number > 0")
 
     algorithm = raw.get("algorithm", "spgd")
-    _require(algorithm in {a.value for a in Algorithm}, "algorithm", "must be 'spgd' or 'spbwgd'")
+    _require(
+        algorithm in [a.value for a in Algorithm], "algorithm", "must be 'spgd' or 'spbwgd'"
+    )
     estimator = raw.get("estimator", "bonnet_price")
     _require(
-        estimator in {e.value for e in EstimatorKind},
+        estimator in [e.value for e in EstimatorKind],
         "estimator", "must be 'bonnet_price', 'bonnet_reparam', or 'exact'",
     )
 
     minibatch = raw.get("minibatch", 8)
-    _require(isinstance(minibatch, int) and minibatch >= 1, "minibatch", "must be an integer >= 1")
+    _require(_is_int(minibatch) and minibatch >= 1, "minibatch", "must be an integer >= 1")
     iterations = raw.get("iterations", 100)
-    _require(isinstance(iterations, int) and iterations >= 0, "iterations", "must be an integer >= 0")
+    _require(_is_int(iterations) and iterations >= 0, "iterations", "must be an integer >= 0")
 
     schedule = raw.get("schedule", {"kind": "theorem"})
     _require(isinstance(schedule, dict), "schedule", "must be an object")
     skind = schedule.get("kind")
     _require(skind in ("constant", "theorem"), "schedule.kind", "must be 'constant' or 'theorem'")
     if skind == "constant":
-        _require(float(schedule.get("gamma", 0.0)) > 0.0, "schedule.gamma", "must be > 0")
+        gamma = schedule.get("gamma")
+        _require(_is_number(gamma) and gamma > 0.0, "schedule.gamma", "must be a number > 0")
     elif "delta_sq" in schedule:
-        _require(float(schedule["delta_sq"]) >= 0.0, "schedule.delta_sq", "must be >= 0")
+        delta_sq = schedule["delta_sq"]
+        _require(
+            _is_number(delta_sq) and delta_sq >= 0.0, "schedule.delta_sq", "must be a number >= 0"
+        )
 
     init = raw.get("init", {})
     _require(isinstance(init, dict), "init", "must be an object")
+    mean = init.get("mean", 0.0)
+    _require(
+        _is_number(mean) or (isinstance(mean, list) and all(_is_number(v) for v in mean)),
+        "init.mean", "must be a number or a list of numbers",
+    )
     variance = init.get("variance", 0.34)
-    _require(float(variance) > 0.0, "init.variance", "must be > 0")
+    _require(_is_number(variance) and variance > 0.0, "init.variance", "must be a number > 0")
 
     eval_samples = raw.get("eval_samples", 4096)
     _require(
-        isinstance(eval_samples, int) and eval_samples >= 2,
+        _is_int(eval_samples) and eval_samples >= 2,
         "eval_samples", "must be an integer >= 2",
     )
     repetitions = raw.get("repetitions", 1)
     _require(
-        isinstance(repetitions, int) and repetitions >= 1,
+        _is_int(repetitions) and repetitions >= 1,
         "repetitions", "must be an integer >= 1",
     )
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int), "seed", "must be an integer")
+    _require(_is_int(seed) and seed >= 0, "seed", "must be an integer >= 0")
     threshold = raw.get("divergence_threshold", 1e12)
-    _require(float(threshold) > 0.0, "divergence_threshold", "must be > 0")
+    _require(
+        _is_number(threshold) and threshold > 0.0, "divergence_threshold", "must be a number > 0"
+    )
     output = raw.get("output")
     _require(output is None or isinstance(output, str), "output", "must be a file path")
 
@@ -164,7 +198,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         minibatch=minibatch,
         iterations=iterations,
         schedule=dict(schedule),
-        init_mean=init.get("mean", 0.0),
+        init_mean=mean,
         init_variance=float(variance),
         eval_samples=eval_samples,
         repetitions=repetitions,
@@ -193,6 +227,10 @@ def build_target(config: ExperimentConfig) -> Potential:
 
 
 def build_initial_state(config: ExperimentConfig, dim: int) -> GaussianVariational:
+    _require(
+        np.ndim(config.init_mean) == 0 or len(config.init_mean) == dim,
+        "init.mean", f"must be a number or a list of {dim} numbers (the target dimension)",
+    )
     return GaussianVariational.isotropic(dim, config.init_mean, config.init_variance)
 
 

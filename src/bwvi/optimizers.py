@@ -37,6 +37,7 @@ from .estimators import (
 )
 from .geometry import (
     GaussianVariational,
+    _coupling_cost,
     _sqrt_and_inv_sqrt,
     cholesky_factor,
     entropy,
@@ -123,9 +124,9 @@ def spgd_step(
 
     ``m' = m - gamma g_m``; ``C' = prox(C - gamma g_C, gamma)``.
     """
-    grad = param_gradient(estimator, target, q, noise)
-    mean = q.mean - gamma * grad.location_grad
-    half_scale = q.scale - gamma * grad.scale_grad
+    location_grad, scale_grad = param_gradient(estimator, target, q, noise)
+    mean = q.mean - gamma * location_grad
+    half_scale = q.scale - gamma * scale_grad
     return GaussianVariational(mean, entropy_prox(half_scale, gamma))
 
 
@@ -144,9 +145,9 @@ def spbwgd_step(
     covariance-gradient estimate is not symmetric; it is evaluated as
     ``(M C)(M C)'`` so this holds exactly in floating point.
     """
-    grad = bw_gradient(estimator, target, q, noise)
-    mean = q.mean - gamma * grad.location_grad
-    m_factor = np.eye(q.dim) - 2.0 * gamma * grad.scale_grad
+    location_grad, covariance_grad = bw_gradient(estimator, target, q, noise)
+    mean = q.mean - gamma * location_grad
+    m_factor = np.eye(q.dim) - 2.0 * gamma * covariance_grad
     half_factor = m_factor @ q.scale
     sigma_half = half_factor @ half_factor.T
     sigma_new = jko_entropy(sigma_half, gamma)
@@ -250,7 +251,9 @@ def run(
     if exact and not isinstance(target, QuadraticPotential):
         raise InvalidParameters("exact-gradient runs require a quadratic target")
     q_star = quadratic_optimum(target) if isinstance(target, QuadraticPotential) else None
-    distance_to_optimum = _DistanceToOptimum(q_star)
+    # One eigendecomposition per W2 record.  The coupling cost is taken from
+    # the optimum's side, which keeps full accuracy for converged iterates.
+    star_roots = None if q_star is None else _sqrt_and_inv_sqrt(q_star.sigma)
 
     step_fn = spgd_step if config.algorithm is Algorithm.SPGD else spbwgd_step
     records: list[TraceRecord] = []
@@ -264,7 +267,12 @@ def run(
             else:
                 noise = draw_noise(q.dim, config.minibatch, seed, stream, t)
                 fe, se = _minibatch_free_energy(q, target, noise)
-            w2 = distance_to_optimum(q)
+            w2 = None
+            if q_star is not None:
+                try:
+                    w2 = _coupling_cost(q_star, star_roots, q)
+                except (BwviError, np.linalg.LinAlgError, ValueError):
+                    w2 = math.inf
             bad = not math.isfinite(fe) or fe > config.divergence_threshold
             records.append(TraceRecord(t, gamma, fe, se, w2, bad))
             if bad or t == config.max_iters:
@@ -275,34 +283,6 @@ def run(
                 records[-1] = replace(records[-1], diverged=True)
                 break
     return RunTrace(tuple(records), q, seed, stream)
-
-
-class _DistanceToOptimum:
-    """Per-run tracker of ``W2(q_t, q_*)^2`` against a fixed optimum.
-
-    Precomputes the optimum's covariance square-root factors once, so each
-    iterate costs a single eigendecomposition.  Evaluated as the coupling
-    cost from the optimum's side, which keeps full accuracy for iterates
-    that have essentially converged.
-    """
-
-    def __init__(self, q_star: GaussianVariational | None):
-        self.q_star = q_star
-        if q_star is not None:
-            self.root, self.inv_root = _sqrt_and_inv_sqrt(q_star.sigma)
-            self.eye = np.eye(q_star.dim)
-
-    def __call__(self, q: GaussianVariational) -> float | None:
-        if self.q_star is None:
-            return None
-        try:
-            inner = matrix_sqrt_psd(symmetrize(self.root @ q.sigma @ self.root))
-            s = self.inv_root @ inner @ self.inv_root
-            residual = (self.eye - symmetrize(s)) @ self.q_star.scale
-            dm = q.mean - self.q_star.mean
-            return float(dm @ dm + np.sum(residual * residual))
-        except (BwviError, np.linalg.LinAlgError, ValueError):
-            return math.inf
 
 
 def parameter_vector(q: GaussianVariational) -> np.ndarray:

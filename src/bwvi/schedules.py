@@ -77,7 +77,9 @@ def theorem_schedule(mu: float, smoothness: float, dim: int, delta_sq: float) ->
     - ``tau = 8 kappa``
     - ``switch_time = ceil( log(kappa delta_sq / d)
       / log(1 / (1 - 1/(10 kappa^2))) )``, clamped at 0 when the log
-      argument is <= 1 (a small initial distance skips the warm-up stage).
+      argument is <= 1 (a small initial distance skips the warm-up stage),
+      and infinite when ``kappa`` or ``delta_sq`` is too large for the
+      formula to be evaluated in floating point.
 
     ``delta_sq`` is the scaled initial squared distance to the optimum,
     ``mu * W2(q_0, q_*)^2``; exact for quadratic targets, user-estimated
@@ -96,8 +98,12 @@ def theorem_schedule(mu: float, smoothness: float, dim: int, delta_sq: float) ->
     if log_arg <= 1.0:
         switch_time = 0
     else:
-        rate = math.log(1.0 / (1.0 - 1.0 / (10.0 * kappa**2)))
-        switch_time = max(0, math.ceil(math.log(log_arg) / rate))
+        try:
+            rate = math.log(1.0 / (1.0 - 1.0 / (10.0 * kappa**2)))
+            switch_time = max(0, math.ceil(math.log(log_arg) / rate))
+        except (OverflowError, ZeroDivisionError):
+            # The rate rounds to 0 or the log overflows: the warm-up outlasts any run.
+            switch_time = math.inf
     return StepSchedule(
         base_step=gamma0,
         strong_convexity=mu,

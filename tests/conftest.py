@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from bwvi.geometry import GaussianVariational
-
-
-def random_state(rng, dim, mean_scale=1.0, off_scale=0.3, diag_low=0.4, diag_high=1.6):
-    """Random nondegenerate Gaussian for property tests."""
-    c = np.tril(rng.standard_normal((dim, dim)) * off_scale, k=-1)
-    c += np.diag(rng.uniform(diag_low, diag_high, dim))
-    return GaussianVariational(rng.standard_normal(dim) * mean_scale, c)
+from bwvi.checks import _random_state as random_state  # noqa: F401
 
 
 def random_spd(rng, dim, jitter=0.1):

@@ -9,7 +9,6 @@ from bwvi.diagnostics import (
     free_energy_exact_quadratic,
     free_energy_mc,
     theory_constants,
-    w2_to_optimum,
 )
 from bwvi.errors import InvalidParameters
 from bwvi.estimators import EstimatorKind
@@ -203,11 +202,6 @@ class TestSecondMoment:
 
 
 class TestMisc:
-    def test_w2_to_optimum_delegates(self, rng):
-        p = random_state(rng, 3)
-        q = random_state(rng, 3)
-        assert w2_to_optimum(p, q) == w2_distance_sq(p, q)
-
     def test_theory_constants(self):
         target = random_quadratic(4, 9.0, seed=1)
         consts = theory_constants(target.metadata)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,22 +9,20 @@ from bwvi.errors import DimensionMismatch, InvalidParameters
 from bwvi.estimators import (
     EstimatorKind,
     NoiseBatch,
-    bonnet_location,
     bw_gradient,
     bw_gradient_field,
     draw_noise,
     param_gradient,
-    price_covariance,
-    price_scale,
-    reparam_covariance,
-    reparam_scale,
 )
 from bwvi.geometry import GaussianVariational, sample, symmetrize
+from bwvi.optimizers import spbwgd_step, spgd_step
 from bwvi.targets import LogisticRidgePotential, QuadraticPotential, quadratic_optimum, random_quadratic
 
 from conftest import random_state
 
 M_UNIT = 200_000  # mini-batch for unit-level unbiasedness checks
+PRICE = EstimatorKind.BONNET_PRICE
+REPARAM = EstimatorKind.BONNET_REPARAM
 
 
 @pytest.fixture(scope="module")
@@ -63,16 +62,16 @@ class TestBonnetLocation:
     def test_identity_gradient_single_draw(self):
         t = QuadraticPotential(np.eye(2), np.zeros(2))
         q = GaussianVariational.isotropic(2)
-        np.testing.assert_array_equal(
-            bonnet_location(t, q, single_draw([1.0, 2.0])), [1.0, 2.0]
-        )
+        for kind in (PRICE, REPARAM):
+            loc, _ = param_gradient(kind, t, q, single_draw([1.0, 2.0]))
+            np.testing.assert_array_equal(loc, [1.0, 2.0])
 
     def test_unbiased_for_mean_gradient(self, quad, state):
         noise = draw_noise(5, M_UNIT, seed=77)
         g = quad.grad(sample(state, noise.draws))
         se = g.std(axis=0, ddof=1) / math.sqrt(M_UNIT)
         target = quad.precision @ (state.mean - quad.center)
-        est = bonnet_location(quad, state, noise)
+        est = param_gradient(PRICE, quad, state, noise)[0]
         assert np.all(np.abs(est - target) <= 5.0 * se)
 
     def test_zero_mean_at_optimum(self, quad):
@@ -80,42 +79,44 @@ class TestBonnetLocation:
         noise = draw_noise(5, M_UNIT, seed=78)
         g = quad.grad(sample(q_star, noise.draws))
         se = g.std(axis=0, ddof=1) / math.sqrt(M_UNIT)
-        est = bonnet_location(quad, q_star, noise)
+        est = param_gradient(PRICE, quad, q_star, noise)[0]
         assert np.all(np.abs(est) <= 5.0 * se)
 
     def test_dimension_mismatch(self, quad):
         with pytest.raises(DimensionMismatch):
-            bonnet_location(quad, GaussianVariational.isotropic(3), draw_noise(3, 4, seed=0))
+            param_gradient(
+                PRICE, quad, GaussianVariational.isotropic(3), draw_noise(3, 4, seed=0)
+            )
 
 
 class TestPriceEstimators:
     def test_covariance_deterministic_for_quadratic(self, quad, state):
-        est = price_covariance(quad, state, draw_noise(5, 8, seed=1))
+        est = bw_gradient(PRICE, quad, state, draw_noise(5, 8, seed=1))[1]
         np.testing.assert_allclose(est, 0.5 * quad.precision, atol=1e-14)
 
     def test_covariance_at_optimum(self, quad):
         q_star = quadratic_optimum(quad)
-        est = price_covariance(quad, q_star, draw_noise(5, 8, seed=2))
+        est = bw_gradient(PRICE, quad, q_star, draw_noise(5, 8, seed=2))[1]
         inv_sigma = np.linalg.inv(q_star.sigma)
         np.testing.assert_allclose(est, 0.5 * inv_sigma, atol=1e-9)
 
     def test_scale_identity_factor(self):
         t = random_quadratic(3, 3.0, seed=4)
         q = GaussianVariational.isotropic(3)
-        est = price_scale(t, q, draw_noise(3, 4, seed=3))
+        est = param_gradient(PRICE, t, q, draw_noise(3, 4, seed=3))[1]
         np.testing.assert_allclose(est, np.tril(t.precision), atol=1e-14)
 
     def test_scale_diagonal_arithmetic(self):
         t = QuadraticPotential(np.diag([2.0, 3.0]), np.zeros(2))
         q = GaussianVariational(np.zeros(2), np.diag([1.0, 2.0]))
-        est = price_scale(t, q, draw_noise(2, 4, seed=5))
+        est = param_gradient(PRICE, t, q, draw_noise(2, 4, seed=5))[1]
         np.testing.assert_allclose(est, np.diag([2.0, 6.0]), atol=1e-14)
 
     def test_covariance_symmetric(self):
         t = LogisticRidgePotential(np.random.default_rng(0).standard_normal((6, 3)),
                                    np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]), ridge=0.3)
         q = random_state(np.random.default_rng(1), 3)
-        est = price_covariance(t, q, draw_noise(3, 32, seed=6))
+        est = bw_gradient(PRICE, t, q, draw_noise(3, 32, seed=6))[1]
         assert np.max(np.abs(est - est.T)) <= 1e-12
 
     def test_logistic_mc_self_consistency(self):
@@ -153,7 +154,7 @@ class TestPriceEstimators:
         assert np.all(np.abs(est - ref) <= 5.0 * combined)
         # and the estimator itself reproduces the chunked computation
         noise = draw_noise(2, 100_000, seed=100, iteration=0)
-        direct = price_covariance(t, q, noise)
+        direct = bw_gradient(PRICE, t, q, noise)[1]
         z = sample(q, noise.draws)
         s = 1.0 / (1.0 + np.exp(-(z @ design.T)))
         w = s * (1.0 - s)
@@ -165,12 +166,12 @@ class TestReparamEstimators:
     def test_scale_single_draw(self):
         t = QuadraticPotential(np.eye(2), np.zeros(2))
         q = GaussianVariational.isotropic(2)
-        est = reparam_scale(t, q, single_draw([1.0, 0.0]))
+        est = param_gradient(REPARAM, t, q, single_draw([1.0, 0.0]))[1]
         np.testing.assert_array_equal(est, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_scale_unbiased(self, quad, state):
         noise = draw_noise(5, M_UNIT, seed=79)
-        est = reparam_scale(quad, state, noise)
+        est = param_gradient(REPARAM, quad, state, noise)[1]
         target = np.tril(quad.precision @ state.scale)
         g = quad.grad(sample(state, noise.draws))
         e = noise.draws
@@ -182,8 +183,8 @@ class TestReparamEstimators:
 
     def test_scale_agrees_with_price(self, quad, state):
         noise = draw_noise(5, M_UNIT, seed=80)
-        rs = reparam_scale(quad, state, noise)
-        ps = price_scale(quad, state, noise)  # exact for quadratic
+        rs = param_gradient(REPARAM, quad, state, noise)[1]
+        ps = param_gradient(PRICE, quad, state, noise)[1]  # exact for quadratic
         g = quad.grad(sample(state, noise.draws))
         e = noise.draws
         se = np.sqrt(
@@ -195,16 +196,16 @@ class TestReparamEstimators:
     def test_covariance_single_draw(self):
         t = QuadraticPotential(np.eye(2), np.zeros(2))
         q = GaussianVariational.isotropic(2)
-        est = reparam_covariance(t, q, single_draw([1.0, 0.0]))
+        est = bw_gradient(REPARAM, t, q, single_draw([1.0, 0.0]))[1]
         np.testing.assert_allclose(est, [[0.5, 0.0], [0.0, 0.0]])
 
     def test_covariance_not_symmetrized(self, quad, state):
-        est = reparam_covariance(quad, state, single_draw([0.7, -1.1, 0.2, 0.9, 0.4]))
+        est = bw_gradient(REPARAM, quad, state, single_draw([0.7, -1.1, 0.2, 0.9, 0.4]))[1]
         assert np.max(np.abs(est - est.T)) > 1e-6
 
     def test_symmetrized_covariance_unbiased(self, quad, state):
         noise = draw_noise(5, M_UNIT, seed=81)
-        est = symmetrize(reparam_covariance(quad, state, noise))
+        est = symmetrize(bw_gradient(REPARAM, quad, state, noise)[1])
         e = noise.draws
         g = quad.grad(sample(state, noise.draws))
         w = solve_triangular(state.scale, e.T, lower=True, trans="T").T
@@ -219,7 +220,7 @@ class TestReparamEstimators:
     def test_symmetrized_covariance_at_optimum(self, quad):
         q_star = quadratic_optimum(quad)
         noise = draw_noise(5, M_UNIT, seed=82)
-        est = symmetrize(reparam_covariance(quad, q_star, noise))
+        est = symmetrize(bw_gradient(REPARAM, quad, q_star, noise)[1])
         inv_sigma = np.linalg.inv(q_star.sigma)
         # coarse 5-SE style bound via the overall scatter of the entries
         assert np.max(np.abs(est - 0.5 * inv_sigma)) <= 0.1
@@ -257,22 +258,19 @@ class TestGradientField:
 class TestDispatch:
     def test_param_geometry_is_triangular(self, quad, state):
         for kind in (EstimatorKind.BONNET_PRICE, EstimatorKind.BONNET_REPARAM):
-            est = param_gradient(kind, quad, state, draw_noise(5, 8, seed=13))
-            assert est.geometry == "param_scale"
-            assert np.array_equal(est.scale_grad, np.tril(est.scale_grad))
-            assert est.n_samples == 8
+            _, scale_grad = param_gradient(kind, quad, state, draw_noise(5, 8, seed=13))
+            assert np.array_equal(scale_grad, np.tril(scale_grad))
 
     def test_bw_price_is_symmetric(self, quad, state):
-        est = bw_gradient(EstimatorKind.BONNET_PRICE, quad, state, draw_noise(5, 8, seed=14))
-        assert est.geometry == "bw_covariance"
-        assert np.max(np.abs(est.scale_grad - est.scale_grad.T)) <= 1e-12
+        noise = draw_noise(5, 8, seed=14)
+        _, cov_grad = bw_gradient(EstimatorKind.BONNET_PRICE, quad, state, noise)
+        assert np.max(np.abs(cov_grad - cov_grad.T)) <= 1e-12
 
     def test_exact_dispatch(self, quad):
         q_star = quadratic_optimum(quad)
-        est = bw_gradient(EstimatorKind.EXACT, quad, q_star, None)
-        np.testing.assert_allclose(est.location_grad, np.zeros(5), atol=1e-12)
-        np.testing.assert_allclose(est.scale_grad, 0.5 * quad.precision, atol=1e-14)
-        assert est.n_samples == 0
+        loc, cov_grad = bw_gradient(EstimatorKind.EXACT, quad, q_star, None)
+        np.testing.assert_allclose(loc, np.zeros(5), atol=1e-12)
+        np.testing.assert_allclose(cov_grad, 0.5 * quad.precision, atol=1e-14)
 
     def test_exact_requires_quadratic(self):
         t = LogisticRidgePotential(np.ones((2, 2)), np.array([0.0, 1.0]), ridge=1.0)
@@ -283,5 +281,37 @@ class TestDispatch:
         for kind in (EstimatorKind.BONNET_PRICE, EstimatorKind.BONNET_REPARAM):
             a = param_gradient(kind, quad, state, draw_noise(5, 32, seed=15, iteration=3))
             b = param_gradient(kind, quad, state, draw_noise(5, 32, seed=15, iteration=3))
-            np.testing.assert_array_equal(a.location_grad, b.location_grad)
-            np.testing.assert_array_equal(a.scale_grad, b.scale_grad)
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
+
+
+class CountingPotential:
+    """Delegates to a potential and counts calls to its oracle methods."""
+
+    ORACLES = ("value", "grad", "hessian_mean", "hessian_apply")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name not in self.ORACLES:
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+
+        return counted
+
+
+class TestOracleCalls:
+    @pytest.mark.parametrize("step", [spgd_step, spbwgd_step])
+    @pytest.mark.parametrize("kind, hessian_calls", [(PRICE, 1), (REPARAM, 0)])
+    def test_one_potential_evaluation_per_step(self, quad, state, step, kind, hessian_calls):
+        target = CountingPotential(quad)
+        step(state, target, draw_noise(5, 8, seed=16), 0.01, kind)
+        assert target.calls["grad"] == 1
+        assert target.calls["hessian_mean"] == hessian_calls
+        assert target.calls["value"] == target.calls["hessian_apply"] == 0

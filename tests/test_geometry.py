@@ -105,6 +105,12 @@ class TestMatrixSqrt:
         with pytest.raises(IndefiniteMatrix):
             matrix_sqrt_psd(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        # eigh returns garbage rather than failing on some such inputs
+        with pytest.raises(NotPositiveDefinite):
+            matrix_sqrt_psd(np.array([[bad, 1.0], [1.0, 2.0]]))
+
 
 class TestW2:
     def test_identical_arguments(self):

@@ -1,8 +1,12 @@
+import copy
 import json
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import bwvi.checks
 import bwvi.cli as cli
@@ -64,6 +68,90 @@ class TestConfigParsing:
             parse_experiment_config(
                 quadratic_config(schedule={"kind": "constant", "gamma": 0.0})
             )
+
+
+MALFORMED_RUN_CONFIGS = [
+    ({"target": {"kind": "quadratic", "dim": "abc"}}, "target.dim"),
+    (
+        {"target": {"kind": "quadratic", "dim": 3, "condition_number": "x"}},
+        "target.condition_number",
+    ),
+    ({"minibatch": True}, "minibatch"),
+    ({"target": {"kind": "quadratic", "dim": 3}, "init": {"mean": [0.0, 1.0]}}, "init.mean"),
+    ({"schedule": {"kind": "constant", "gamma": None}}, "schedule.gamma"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("overrides, field", MALFORMED_RUN_CONFIGS)
+    def test_run_exits_2_naming_the_field(self, tmp_path, capsys, overrides, field):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(quadratic_config(**overrides)))
+        assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_zero_workers_exits_2(self, tmp_path, capsys, command):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(quadratic_config(iterations=1)))
+        out = str(tmp_path / "sweep.csv")
+        argv = ["sweep", str(config_path), "--points", "1", "--out", out]
+        assert cli.main([*(argv if command == "sweep" else ["verify"]), "--workers", "0"]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+BASE_TARGETS = [
+    {"kind": "quadratic", "dim": 2, "condition_number": 5.0, "seed": 3},
+    {"kind": "logistic", "dataset": str(files("bwvi.data") / "toy_logistic.csv"), "ridge": 0.1},
+]
+BASE_SCHEDULES = [
+    {"kind": "constant", "gamma": 0.01}, {"kind": "theorem"}, {"kind": "theorem", "delta_sq": 2.0},
+]
+CONFIG_FIELDS = [
+    ("target",), ("target", "kind"), ("target", "dim"), ("target", "condition_number"),
+    ("target", "seed"), ("target", "strong_convexity"), ("target", "center_scale"),
+    ("target", "dataset"), ("target", "ridge"), ("algorithm",), ("estimator",),
+    ("minibatch",), ("iterations",), ("schedule",), ("schedule", "kind"),
+    ("schedule", "gamma"), ("schedule", "delta_sq"), ("init",), ("init", "mean"),
+    ("init", "variance"), ("eval_samples",), ("repetitions",), ("seed",),
+    ("divergence_threshold",), ("output",),
+]
+# Integers stay small so that a replaced size (dim, minibatch, iterations,
+# repetitions) keeps each run to a few milliseconds.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+# Values that overflow the theorem schedule's switch time or the initial W2.
+QUADRATIC_THEOREM = {"target": BASE_TARGETS[0], "schedule": BASE_SCHEDULES[1]}
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@example(**QUADRATIC_THEOREM, path=("init", "mean"), value=1e300)
+@example(**QUADRATIC_THEOREM, path=("init", "variance"), value=1.7e308)
+@example(**QUADRATIC_THEOREM, path=("target", "condition_number"), value=1e8)
+@given(
+    target=st.sampled_from(BASE_TARGETS),
+    schedule=st.sampled_from(BASE_SCHEDULES),
+    path=st.sampled_from(CONFIG_FIELDS),
+    value=JSON_VALUES,
+)
+def test_run_on_any_field_value_exits_0_2_or_3(tmp_path, target, schedule, path, value):
+    raw = copy.deepcopy(quadratic_config(target=target, schedule=schedule, iterations=3))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) in (0, 2, 3)
 
 
 class TestRunCommand:

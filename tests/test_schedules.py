@@ -61,6 +61,15 @@ class TestTheoremSchedule:
         sched = theorem_schedule(1.0, 10.0, dim=5, delta_sq=0.1)  # kappa d_sq / d < 1
         assert sched.switch_time == 0
 
+    @pytest.mark.parametrize(
+        "mu, smoothness, delta_sq", [(1.0, 1e8, 1.0), (1e-300, 1.0, 1.0), (1.0, 10.0, math.inf)]
+    )
+    def test_switch_beyond_float_range_never_comes(self, mu, smoothness, delta_sq):
+        # 1/(10 kappa^2) rounds away against 1, kappa^2 overflows, or the log does
+        sched = theorem_schedule(mu, smoothness, dim=1, delta_sq=delta_sq)
+        assert sched.switch_time == math.inf
+        assert sched.step_at(10**6) == sched.base_step
+
     def test_rejects_smoothness_below_convexity(self):
         with pytest.raises(InvalidParameters):
             theorem_schedule(2.0, 1.0, dim=1, delta_sq=1.0)
