@@ -28,9 +28,7 @@ from .errors import (
 )
 from .estimators import (
     EstimatorKind,
-    NoiseBatch,
     bw_gradient,
-    bw_gradient_field,
     draw_noise,
     param_gradient,
 )

@@ -26,6 +26,7 @@ from .diagnostics import (
     estimator_second_moment,
     free_energy_exact_quadratic,
     free_energy_mc,
+    theory_constants,
 )
 from .estimators import EstimatorKind, bw_gradient, draw_noise, param_gradient, stein_weights
 from .geometry import (
@@ -120,14 +121,13 @@ def check_estimator_unbiasedness(n_samples: int = 1_000_000) -> CheckResult:
     a, b = target.precision, target.center
     q = _random_state(rng, 5)
     m, c = q.mean, q.scale
-    noise = draw_noise(5, n_samples, seed=123)
-    e = noise.draws
+    e = draw_noise(5, n_samples, seed=123)
     # The estimators run before the check's own per-draw arrays exist, so
     # their transient arrays do not add to the check's peak memory.
-    loc_mean, ps_mean = param_gradient(EstimatorKind.BONNET_PRICE, target, q, noise)
-    _, pc_mean = bw_gradient(EstimatorKind.BONNET_PRICE, target, q, noise)
-    _, rs_mean = param_gradient(EstimatorKind.BONNET_REPARAM, target, q, noise)
-    _, rc_mean = bw_gradient(EstimatorKind.BONNET_REPARAM, target, q, noise)
+    loc_mean, ps_mean = param_gradient(EstimatorKind.BONNET_PRICE, target, q, e)
+    _, pc_mean = bw_gradient(EstimatorKind.BONNET_PRICE, target, q, e)
+    _, rs_mean = param_gradient(EstimatorKind.BONNET_REPARAM, target, q, e)
+    _, rc_mean = bw_gradient(EstimatorKind.BONNET_REPARAM, target, q, e)
     g = target.grad(sample(q, e))
     margins = []
 
@@ -272,8 +272,9 @@ def check_variance_bounds(n: int = 100_000) -> CheckResult:
     """Gradient second moments sit below their Bregman-divergence bounds.
 
     For the Hessian-based estimator pair in both geometries, the coupled
-    second moment must not exceed 1.5 * (10 L kappa D_E + 10 d L), with
-    D_E the closed-form energy Bregman divergence to the optimum.
+    second moment must not exceed 1.5 * (4 L_eps D_E + 2 sigma^2), with
+    ``(L_eps, sigma^2)`` from ``theory_constants`` and D_E the closed-form
+    energy Bregman divergence to the optimum.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(1006)
@@ -283,12 +284,11 @@ def check_variance_bounds(n: int = 100_000) -> CheckResult:
         for kappa in (2.0, 10.0):
             target = random_quadratic(dim, kappa, seed=int(1000 * kappa) + dim)
             q_star = quadratic_optimum(target)
-            meta = target.metadata
-            big_l = meta.smoothness
+            theory = theory_constants(target.metadata)
             for rep in range(5):
                 q = _random_state(rng, dim, mean_scale=1.5)
                 d_e = bregman_energy_quadratic(q, q_star, target)
-                bound = 1.5 * (10.0 * big_l * meta.condition_number * d_e + 10.0 * dim * big_l)
+                bound = 1.5 * (4.0 * theory.expected_smoothness * d_e + 2.0 * theory.additive_noise)
                 for geometry in ("bw", "param"):
                     moment = estimator_second_moment(
                         EstimatorKind.BONNET_PRICE, geometry, q, q_star, target,

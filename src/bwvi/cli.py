@@ -10,9 +10,9 @@ Subcommands:
 - ``bwvi verify --level quick|full``: run the verification suite and
   print one pass/fail line per check.
 
-Exit codes: 0 success, 1 failed verification check, 2 config error,
-3 I/O error.  The environment variable ``BWVI_SEED`` overrides the
-config's base seed.
+Exit codes: 0 success, 1 failed verification check, 2 config error
+(including sizes that do not fit in memory), 3 I/O error.  The
+environment variable ``BWVI_SEED`` overrides the config's base seed.
 """
 
 from __future__ import annotations
@@ -161,6 +161,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except BwviError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("config error: the configured sizes do not fit in memory", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -75,6 +75,16 @@ def theory_constants(metadata: PotentialMetadata) -> TheoryConstants:
     )
 
 
+def _energy_estimate(
+    q: GaussianVariational, target: Potential, eps: np.ndarray
+) -> tuple[float, float]:
+    """``mean_k U(C eps_k + m)`` plus the exact entropy, and the standard
+    error of the energy term (0 for a single draw)."""
+    u = np.asarray(target.value(sample(q, eps)), dtype=float)
+    se = float(u.std(ddof=1) / math.sqrt(u.size)) if u.size > 1 else 0.0
+    return float(u.mean() + entropy(q)), se
+
+
 def free_energy_mc(
     q: GaussianVariational, target: Potential, n_samples: int, seed
 ) -> FreeEnergyEstimate:
@@ -88,12 +98,8 @@ def free_energy_mc(
     if q.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u = np.asarray(target.value(sample(q, rng.standard_normal((n_samples, q.dim)))))
-    return FreeEnergyEstimate(
-        value=float(u.mean() + entropy(q)),
-        std_error=float(u.std(ddof=1) / math.sqrt(n_samples)),
-        n_samples=n_samples,
-    )
+    value, std_error = _energy_estimate(q, target, rng.standard_normal((n_samples, q.dim)))
+    return FreeEnergyEstimate(value, std_error, n_samples)
 
 
 def free_energy_exact_quadratic(q: GaussianVariational, target: QuadraticPotential) -> float:

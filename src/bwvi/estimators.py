@@ -22,7 +22,9 @@ Price form it is not almost surely symmetric and is deliberately left
 unsymmetrized.
 
 ``param_gradient`` and ``bw_gradient`` are the entry points, one per
-geometry; Price and exact gradients share one assembly from the mean Hessian.
+geometry.  Both read the noise ``eps`` as the read-only ``(M, d)`` array
+from ``draw_noise`` (``None`` for exact gradients), and Price and exact
+gradients share one assembly from the mean Hessian.
 
 Noise is counter-based: a batch is reproduced exactly from its lineage
 ``(seed, stream, iteration)``, which is what makes paired comparisons
@@ -32,21 +34,18 @@ across estimators and bit-identical reruns possible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, InvalidParameters
-from .geometry import AffineMap, GaussianVariational, sample, symmetrize
+from .geometry import GaussianVariational, sample, symmetrize
 from .targets import Potential, QuadraticPotential
 
 __all__ = [
     "EstimatorKind",
-    "NoiseBatch",
     "draw_noise",
     "stein_weights",
-    "bw_gradient_field",
     "param_gradient",
     "bw_gradient",
 ]
@@ -60,46 +59,19 @@ class EstimatorKind(str, enum.Enum):
     EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class NoiseBatch:
-    """Mini-batch of standard-normal draws with reproducible lineage.
-
-    Attributes:
-        draws: shape ``(n_samples, dim)``.
-        seed_lineage: ``(seed, stream, iteration)`` that generated the draws.
-    """
-
-    draws: np.ndarray
-    seed_lineage: tuple[int, int, int]
-
-    def __post_init__(self):
-        draws = np.array(self.draws, dtype=float)
-        if draws.ndim != 2 or draws.shape[0] < 1:
-            raise DimensionMismatch(f"draws must have shape (M, d), got {draws.shape}")
-        draws.setflags(write=False)
-        object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "seed_lineage", tuple(int(v) for v in self.seed_lineage))
-
-    @property
-    def n_samples(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.draws.shape[1]
-
-
-def draw_noise(dim: int, n_samples: int, seed: int, stream: int = 0, iteration: int = 0) -> NoiseBatch:
+def draw_noise(dim: int, n_samples: int, seed: int, stream: int = 0, iteration: int = 0) -> np.ndarray:
     """Draw ``n_samples`` standard-normal vectors from a counter-based stream.
 
-    Identical ``(seed, stream, iteration)`` lineage yields bit-identical
-    draws; distinct lineages are statistically independent.
+    Returns a read-only ``(n_samples, dim)`` array.  Identical
+    ``(seed, stream, iteration)`` lineage yields bit-identical draws;
+    distinct lineages are statistically independent.
     """
     if n_samples < 1:
         raise InvalidParameters(f"n_samples must be >= 1, got {n_samples}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, iteration))
-    rng = np.random.default_rng(ss)
-    return NoiseBatch(rng.standard_normal((n_samples, dim)), (seed, stream, iteration))
+    draws = np.random.default_rng(ss).standard_normal((n_samples, dim))
+    draws.setflags(write=False)
+    return draws
 
 
 def stein_weights(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
@@ -108,7 +80,7 @@ def stein_weights(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
 
 
 def _oracle(
-    kind: EstimatorKind, target: Potential, q: GaussianVariational, noise: NoiseBatch | None
+    kind: EstimatorKind, target: Potential, q: GaussianVariational, eps: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """``(location_grad, mean_hess, grads)`` from one sample of ``Z``, one
     ``grad`` call and, for Price, one ``hessian_mean`` call.
@@ -121,62 +93,41 @@ def _oracle(
             raise InvalidParameters("exact gradients are only available for quadratic targets")
         loc, mean_hess = target.exact_gradients(q)
         return loc, mean_hess, None
-    if noise is None:
-        raise InvalidParameters("stochastic estimators require a noise batch")
+    if eps is None:
+        raise InvalidParameters("stochastic estimators require a noise array")
     if q.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
-    if noise.dim != q.dim:
-        raise DimensionMismatch(f"noise dimension {noise.dim} != state dimension {q.dim}")
-    z = sample(q, noise.draws)
+    if eps.ndim != 2 or eps.shape[0] < 1:
+        raise DimensionMismatch(f"noise must have shape (M, d) with M >= 1, got {eps.shape}")
+    z = sample(q, eps)
     g = np.asarray(target.grad(z))
     if kind is EstimatorKind.BONNET_PRICE:
         return g.mean(axis=0), target.hessian_mean(z), None
     return g.mean(axis=0), None, g
 
 
-def bw_gradient_field(
-    location_grad: np.ndarray, covariance_grad: np.ndarray, q: GaussianVariational
-) -> AffineMap:
-    """Assemble the Bures-Wasserstein gradient field of the energy.
-
-    Returns the tangent-space element ``x -> g_m + 2 g_S (x - m)`` as an
-    affine map, given estimates ``g_m`` of the location gradient and
-    ``g_S`` of the covariance gradient.
-    """
-    location_grad = np.asarray(location_grad, dtype=float)
-    covariance_grad = np.asarray(covariance_grad, dtype=float)
-    d = q.dim
-    if location_grad.shape != (d,) or covariance_grad.shape != (d, d):
-        raise DimensionMismatch(
-            f"gradient shapes {location_grad.shape}/{covariance_grad.shape} "
-            f"incompatible with dimension {d}"
-        )
-    linear = 2.0 * covariance_grad
-    return AffineMap(linear=linear, shift=location_grad - linear @ q.mean)
-
-
 def param_gradient(
     kind: EstimatorKind | str,
     target: Potential,
     q: GaussianVariational,
-    noise: NoiseBatch | None,
+    eps: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(location_grad, scale_grad)`` for the parameter-space update.
 
     The scale gradient is ``tril(H @ C)`` from the mean Hessian ``H``
     (Price, exact) or ``tril(mean_k grad U(Z_k) eps_k')`` (reparam).
     """
-    loc, mean_hess, g = _oracle(EstimatorKind(kind), target, q, noise)
+    loc, mean_hess, g = _oracle(EstimatorKind(kind), target, q, eps)
     if g is None:
         return loc, np.tril(mean_hess @ q.scale)
-    return loc, np.tril(g.T @ noise.draws / noise.n_samples)
+    return loc, np.tril(g.T @ eps / len(eps))
 
 
 def bw_gradient(
     kind: EstimatorKind | str,
     target: Potential,
     q: GaussianVariational,
-    noise: NoiseBatch | None,
+    eps: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(location_grad, covariance_grad)`` for the Bures-Wasserstein update.
 
@@ -184,7 +135,7 @@ def bw_gradient(
     (Price, exact; symmetrized against roundoff) or the unsymmetrized
     Stein form ``(1/2) mean_k (C^{-T} eps_k) grad U(Z_k)'`` (reparam).
     """
-    loc, mean_hess, g = _oracle(EstimatorKind(kind), target, q, noise)
+    loc, mean_hess, g = _oracle(EstimatorKind(kind), target, q, eps)
     if g is None:
         return loc, symmetrize(0.5 * mean_hess)
-    return loc, 0.5 * (stein_weights(q, noise.draws).T @ g) / noise.n_samples
+    return loc, 0.5 * (stein_weights(q, eps).T @ g) / len(eps)

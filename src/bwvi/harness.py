@@ -87,6 +87,11 @@ def _require(cond: bool, fieldname: str, message: str):
         raise InvalidParameters(f"config field '{fieldname}': {message}")
 
 
+def _reject_unknown(obj: dict, prefix: str, known: set[str]):
+    for key in obj:
+        _require(key in known, prefix + key, "unknown field")
+
+
 def _is_int(value) -> bool:
     """A JSON integer; ``bool`` is an ``int`` subclass in Python but not here."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -103,18 +108,19 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     Raises ``InvalidParameters`` naming the offending field.
     """
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
-    known = {
+    _reject_unknown(raw, "", {
         "target", "algorithm", "estimator", "minibatch", "iterations",
         "schedule", "init", "eval_samples", "repetitions", "seed",
         "divergence_threshold", "output",
-    }
-    for key in raw:
-        _require(key in known, key, "unknown field")
+    })
     target = raw.get("target")
     _require(isinstance(target, dict), "target", "must be an object")
     kind = target.get("kind")
     _require(kind in ("quadratic", "logistic"), "target.kind", "must be 'quadratic' or 'logistic'")
     if kind == "quadratic":
+        _reject_unknown(target, "target.", {
+            "kind", "dim", "condition_number", "seed", "strong_convexity", "center_scale",
+        })
         dim = target.get("dim")
         _require(_is_int(dim) and dim >= 1, "target.dim", "must be an integer >= 1")
         kappa = target.get("condition_number", 1.0)
@@ -130,6 +136,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         center_scale = target.get("center_scale", 1.0)
         _require(_is_number(center_scale), "target.center_scale", "must be a number")
     else:
+        _reject_unknown(target, "target.", {"kind", "dataset", "ridge"})
         _require(isinstance(target.get("dataset"), str), "target.dataset", "must be a file path")
         ridge = target.get("ridge")
         _require(_is_number(ridge) and ridge > 0.0, "target.ridge", "must be a number > 0")
@@ -153,6 +160,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     _require(isinstance(schedule, dict), "schedule", "must be an object")
     skind = schedule.get("kind")
     _require(skind in ("constant", "theorem"), "schedule.kind", "must be 'constant' or 'theorem'")
+    _reject_unknown(
+        schedule, "schedule.", {"kind", "gamma" if skind == "constant" else "delta_sq"}
+    )
     if skind == "constant":
         gamma = schedule.get("gamma")
         _require(_is_number(gamma) and gamma > 0.0, "schedule.gamma", "must be a number > 0")
@@ -164,6 +174,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
 
     init = raw.get("init", {})
     _require(isinstance(init, dict), "init", "must be an object")
+    _reject_unknown(init, "init.", {"mean", "variance"})
     mean = init.get("mean", 0.0)
     _require(
         _is_number(mean) or (isinstance(mean, list) and all(_is_number(v) for v in mean)),
@@ -305,10 +316,10 @@ class SweepResult:
     diverged: bool
 
 
-def _run_sweep_cell(args: tuple[ExperimentConfig, SweepCell]) -> SweepResult:
-    config, cell = args
-    target = build_target(config)
-    q0 = build_initial_state(config, target.dim)
+def _run_sweep_cell(
+    args: tuple[ExperimentConfig, Potential, GaussianVariational, SweepCell],
+) -> SweepResult:
+    config, target, q0, cell = args
     opt = OptimizerConfig(
         algorithm=cell.algorithm,
         estimator=cell.estimator,
@@ -347,11 +358,13 @@ def execute_sweep(
 ) -> list[SweepResult]:
     """Run every sweep cell, concurrently if ``workers > 1``.
 
+    The target and initial state are built once and shared by every cell.
     Results come back in deterministic cell order regardless of worker
     scheduling.
     """
-    cells = sweep_cells(config, grid)
-    payload = [(config, cell) for cell in cells]
+    target = build_target(config)
+    q0 = build_initial_state(config, target.dim)
+    payload = [(config, target, q0, cell) for cell in sweep_cells(config, grid)]
     if workers <= 1:
         return [_run_sweep_cell(p) for p in payload]
     with ProcessPoolExecutor(max_workers=workers) as pool:

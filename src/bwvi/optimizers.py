@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import free_energy_exact_quadratic
+from .diagnostics import _energy_estimate, free_energy_exact_quadratic
 from .errors import (
     BwviError,
     DimensionMismatch,
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .estimators import (
     EstimatorKind,
-    NoiseBatch,
     bw_gradient,
     draw_noise,
     param_gradient,
@@ -40,9 +39,8 @@ from .geometry import (
     _coupling_cost,
     _sqrt_and_inv_sqrt,
     cholesky_factor,
-    entropy,
+    entropy,  # unused here; benchmarks/selfcheck.py traces a call to optimizers.entropy
     matrix_sqrt_psd,
-    sample,
     symmetrize,
 )
 from .schedules import StepSchedule
@@ -116,7 +114,7 @@ def jko_entropy(sigma: np.ndarray, gamma: float) -> np.ndarray:
 def spgd_step(
     q: GaussianVariational,
     target: Potential,
-    noise: NoiseBatch | None,
+    eps: np.ndarray | None,
     gamma: float,
     estimator: EstimatorKind | str = EstimatorKind.BONNET_PRICE,
 ) -> GaussianVariational:
@@ -124,7 +122,7 @@ def spgd_step(
 
     ``m' = m - gamma g_m``; ``C' = prox(C - gamma g_C, gamma)``.
     """
-    location_grad, scale_grad = param_gradient(estimator, target, q, noise)
+    location_grad, scale_grad = param_gradient(estimator, target, q, eps)
     mean = q.mean - gamma * location_grad
     half_scale = q.scale - gamma * scale_grad
     return GaussianVariational(mean, entropy_prox(half_scale, gamma))
@@ -133,7 +131,7 @@ def spgd_step(
 def spbwgd_step(
     q: GaussianVariational,
     target: Potential,
-    noise: NoiseBatch | None,
+    eps: np.ndarray | None,
     gamma: float,
     estimator: EstimatorKind | str = EstimatorKind.BONNET_PRICE,
 ) -> GaussianVariational:
@@ -145,7 +143,7 @@ def spbwgd_step(
     covariance-gradient estimate is not symmetric; it is evaluated as
     ``(M C)(M C)'`` so this holds exactly in floating point.
     """
-    location_grad, covariance_grad = bw_gradient(estimator, target, q, noise)
+    location_grad, covariance_grad = bw_gradient(estimator, target, q, eps)
     mean = q.mean - gamma * location_grad
     m_factor = np.eye(q.dim) - 2.0 * gamma * covariance_grad
     half_factor = m_factor @ q.scale
@@ -219,16 +217,6 @@ class RunTrace:
         return np.array([r.free_energy for r in self.records])
 
 
-def _minibatch_free_energy(
-    q: GaussianVariational, target: Potential, noise: NoiseBatch
-) -> tuple[float, float]:
-    """Energy estimated on the iteration's own mini-batch plus exact entropy."""
-    u = np.asarray(target.value(sample(q, noise.draws)), dtype=float)
-    value = float(u.mean() + entropy(q))
-    se = float(u.std(ddof=1) / math.sqrt(u.size)) if u.size > 1 else 0.0
-    return value, se
-
-
 def run(
     config: OptimizerConfig,
     target: Potential,
@@ -263,10 +251,10 @@ def run(
             gamma = schedule.step_at(t)
             if exact:
                 fe, se = free_energy_exact_quadratic(q, target), 0.0
-                noise = None
+                eps = None
             else:
-                noise = draw_noise(q.dim, config.minibatch, seed, stream, t)
-                fe, se = _minibatch_free_energy(q, target, noise)
+                eps = draw_noise(q.dim, config.minibatch, seed, stream, t)
+                fe, se = _energy_estimate(q, target, eps)
             w2 = None
             if q_star is not None:
                 try:
@@ -278,7 +266,7 @@ def run(
             if bad or t == config.max_iters:
                 break
             try:
-                q = step_fn(q, target, noise, gamma, config.estimator)
+                q = step_fn(q, target, eps, gamma, config.estimator)
             except (BwviError, np.linalg.LinAlgError, ValueError, FloatingPointError):
                 records[-1] = replace(records[-1], diverged=True)
                 break

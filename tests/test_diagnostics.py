@@ -157,14 +157,11 @@ class TestSecondMoment:
 
     def test_bound_holds_at_small_n(self, rng):
         target = random_quadratic(3, 4.0, seed=9)
-        meta = target.metadata
+        consts = theory_constants(target.metadata)
         q_star = quadratic_optimum(target)
         q = random_state(rng, 3, mean_scale=1.5)
         d_e = bregman_energy_quadratic(q, q_star, target)
-        bound = 1.5 * (
-            10.0 * meta.smoothness * meta.condition_number * d_e
-            + 10.0 * meta.dim * meta.smoothness
-        )
+        bound = 1.5 * (4.0 * consts.expected_smoothness * d_e + 2.0 * consts.additive_noise)
         for geometry in ("bw", "param"):
             val = estimator_second_moment(
                 EstimatorKind.BONNET_PRICE, geometry, q, q_star, target, n=20_000, seed=1

@@ -8,9 +8,7 @@ from scipy.linalg import solve_triangular
 from bwvi.errors import DimensionMismatch, InvalidParameters
 from bwvi.estimators import (
     EstimatorKind,
-    NoiseBatch,
     bw_gradient,
-    bw_gradient_field,
     draw_noise,
     param_gradient,
 )
@@ -39,15 +37,16 @@ class TestNoise:
     def test_lineage_determinism(self):
         a = draw_noise(4, 16, seed=9, stream=2, iteration=5)
         b = draw_noise(4, 16, seed=9, stream=2, iteration=5)
-        np.testing.assert_array_equal(a.draws, b.draws)
-        assert a.seed_lineage == (9, 2, 5)
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == (16, 4)
+        assert not a.flags.writeable
 
     def test_distinct_lineages_differ(self):
         a = draw_noise(4, 16, seed=9, stream=2, iteration=5)
         b = draw_noise(4, 16, seed=9, stream=2, iteration=6)
         c = draw_noise(4, 16, seed=9, stream=3, iteration=5)
-        assert not np.array_equal(a.draws, b.draws)
-        assert not np.array_equal(a.draws, c.draws)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_rejects_empty_batch(self):
         with pytest.raises(InvalidParameters):
@@ -55,7 +54,7 @@ class TestNoise:
 
 
 def single_draw(vec):
-    return NoiseBatch(np.asarray(vec, dtype=float)[None, :], (0, 0, 0))
+    return np.asarray(vec, dtype=float)[None, :]
 
 
 class TestBonnetLocation:
@@ -68,7 +67,7 @@ class TestBonnetLocation:
 
     def test_unbiased_for_mean_gradient(self, quad, state):
         noise = draw_noise(5, M_UNIT, seed=77)
-        g = quad.grad(sample(state, noise.draws))
+        g = quad.grad(sample(state, noise))
         se = g.std(axis=0, ddof=1) / math.sqrt(M_UNIT)
         target = quad.precision @ (state.mean - quad.center)
         est = param_gradient(PRICE, quad, state, noise)[0]
@@ -77,7 +76,7 @@ class TestBonnetLocation:
     def test_zero_mean_at_optimum(self, quad):
         q_star = quadratic_optimum(quad)
         noise = draw_noise(5, M_UNIT, seed=78)
-        g = quad.grad(sample(q_star, noise.draws))
+        g = quad.grad(sample(q_star, noise))
         se = g.std(axis=0, ddof=1) / math.sqrt(M_UNIT)
         est = param_gradient(PRICE, quad, q_star, noise)[0]
         assert np.all(np.abs(est) <= 5.0 * se)
@@ -87,6 +86,11 @@ class TestBonnetLocation:
             param_gradient(
                 PRICE, quad, GaussianVariational.isotropic(3), draw_noise(3, 4, seed=0)
             )
+
+    def test_one_dimensional_noise_rejected(self, quad, state):
+        for estimate in (param_gradient, bw_gradient):
+            with pytest.raises(DimensionMismatch):
+                estimate(PRICE, quad, state, np.zeros(5))
 
 
 class TestPriceEstimators:
@@ -135,7 +139,7 @@ class TestPriceEstimators:
             while done < total:
                 m = min(chunk, total - done)
                 noise = draw_noise(2, m, seed=seed, iteration=it)
-                z = sample(q, noise.draws)
+                z = sample(q, noise)
                 logits = z @ design.T
                 s = 1.0 / (1.0 + np.exp(-logits))
                 w = s * (1.0 - s)
@@ -155,7 +159,7 @@ class TestPriceEstimators:
         # and the estimator itself reproduces the chunked computation
         noise = draw_noise(2, 100_000, seed=100, iteration=0)
         direct = bw_gradient(PRICE, t, q, noise)[1]
-        z = sample(q, noise.draws)
+        z = sample(q, noise)
         s = 1.0 / (1.0 + np.exp(-(z @ design.T)))
         w = s * (1.0 - s)
         manual = np.einsum("kn,nij->kij", w, basis).mean(axis=0) + 0.5 * t.ridge * np.eye(2)
@@ -170,11 +174,10 @@ class TestReparamEstimators:
         np.testing.assert_array_equal(est, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_scale_unbiased(self, quad, state):
-        noise = draw_noise(5, M_UNIT, seed=79)
-        est = param_gradient(REPARAM, quad, state, noise)[1]
+        e = draw_noise(5, M_UNIT, seed=79)
+        est = param_gradient(REPARAM, quad, state, e)[1]
         target = np.tril(quad.precision @ state.scale)
-        g = quad.grad(sample(state, noise.draws))
-        e = noise.draws
+        g = quad.grad(sample(state, e))
         se = np.sqrt(
             np.clip((g**2).T @ (e**2) / M_UNIT - (g.T @ e / M_UNIT) ** 2, 0, None) / M_UNIT
         )
@@ -182,11 +185,10 @@ class TestReparamEstimators:
         assert np.all(np.abs(est - target)[mask] <= 5.0 * se[mask])
 
     def test_scale_agrees_with_price(self, quad, state):
-        noise = draw_noise(5, M_UNIT, seed=80)
-        rs = param_gradient(REPARAM, quad, state, noise)[1]
-        ps = param_gradient(PRICE, quad, state, noise)[1]  # exact for quadratic
-        g = quad.grad(sample(state, noise.draws))
-        e = noise.draws
+        e = draw_noise(5, M_UNIT, seed=80)
+        rs = param_gradient(REPARAM, quad, state, e)[1]
+        ps = param_gradient(PRICE, quad, state, e)[1]  # exact for quadratic
+        g = quad.grad(sample(state, e))
         se = np.sqrt(
             np.clip((g**2).T @ (e**2) / M_UNIT - (g.T @ e / M_UNIT) ** 2, 0, None) / M_UNIT
         )
@@ -204,10 +206,9 @@ class TestReparamEstimators:
         assert np.max(np.abs(est - est.T)) > 1e-6
 
     def test_symmetrized_covariance_unbiased(self, quad, state):
-        noise = draw_noise(5, M_UNIT, seed=81)
-        est = symmetrize(bw_gradient(REPARAM, quad, state, noise)[1])
-        e = noise.draws
-        g = quad.grad(sample(state, noise.draws))
+        e = draw_noise(5, M_UNIT, seed=81)
+        est = symmetrize(bw_gradient(REPARAM, quad, state, e)[1])
+        g = quad.grad(sample(state, e))
         w = solve_triangular(state.scale, e.T, lower=True, trans="T").T
         worst = 0.0
         for i in range(5):
@@ -224,35 +225,6 @@ class TestReparamEstimators:
         inv_sigma = np.linalg.inv(q_star.sigma)
         # coarse 5-SE style bound via the overall scatter of the entries
         assert np.max(np.abs(est - 0.5 * inv_sigma)) <= 0.1
-
-
-class TestGradientField:
-    def test_zero_gradients(self):
-        q = GaussianVariational.isotropic(3)
-        field = bw_gradient_field(np.zeros(3), np.zeros((3, 3)), q)
-        np.testing.assert_array_equal(field(np.array([1.0, 2.0, 3.0])), np.zeros(3))
-
-    def test_constant_field(self):
-        q = GaussianVariational.isotropic(2, mean=np.array([1.0, -1.0]))
-        g = np.array([0.5, 2.0])
-        field = bw_gradient_field(g, np.zeros((2, 2)), q)
-        np.testing.assert_array_equal(field(np.array([9.0, 9.0])), g)
-
-    def test_free_energy_field_vanishes_at_optimum(self, quad):
-        q_star = quadratic_optimum(quad)
-        loc, mean_hess = quad.exact_gradients(q_star)
-        energy_field = bw_gradient_field(loc, 0.5 * mean_hess, q_star)
-        # entropy's field is x -> -Sigma^{-1} (x - m); the sum must vanish
-        inv_sigma = np.linalg.inv(q_star.sigma)
-        total_linear = energy_field.linear - inv_sigma
-        total_shift = energy_field.shift + inv_sigma @ q_star.mean
-        assert np.max(np.abs(total_linear)) <= 1e-10 * np.max(np.abs(inv_sigma))
-        assert np.max(np.abs(total_shift)) <= 1e-10 * max(1.0, np.max(np.abs(q_star.mean)))
-
-    def test_dimension_mismatch(self):
-        q = GaussianVariational.isotropic(2)
-        with pytest.raises(DimensionMismatch):
-            bw_gradient_field(np.zeros(3), np.zeros((3, 3)), q)
 
 
 class TestDispatch:

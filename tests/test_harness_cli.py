@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bwvi.checks
 import bwvi.cli as cli
+import bwvi.harness
 import bwvi.optimizers
 from bwvi.checks import CheckResult, check_fixed_points
 from bwvi.errors import InvalidParameters
@@ -79,6 +80,12 @@ MALFORMED_RUN_CONFIGS = [
     ({"minibatch": True}, "minibatch"),
     ({"target": {"kind": "quadratic", "dim": 3}, "init": {"mean": [0.0, 1.0]}}, "init.mean"),
     ({"schedule": {"kind": "constant", "gamma": None}}, "schedule.gamma"),
+    (
+        {"target": {"kind": "quadratic", "dim": 3, "conditon_number": 100.0}},
+        "target.conditon_number",
+    ),
+    ({"schedule": {"kind": "constant", "gamma": 0.01, "gama": 5}}, "schedule.gama"),
+    ({"init": {"varaince": 9.0}}, "init.varaince"),
 ]
 
 
@@ -89,6 +96,16 @@ class TestMalformedInput:
         config_path.write_text(json.dumps(quadratic_config(**overrides)))
         assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
         assert field in capsys.readouterr().err
+
+    def test_sizes_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(bwvi.harness, "random_quadratic", out_of_memory)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(quadratic_config()))
+        assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "config error: the configured sizes do not fit in memory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     def test_zero_workers_exits_2(self, tmp_path, capsys, command):
