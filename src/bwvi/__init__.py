@@ -49,8 +49,8 @@ from .optimizers import (
     TraceRecord,
     entropy_prox,
     jko_entropy,
-    parameter_vector,
     run,
+    run_batch,
     spbwgd_step,
     spgd_step,
 )

@@ -42,7 +42,7 @@ from .optimizers import (
     OptimizerConfig,
     entropy_prox,
     jko_entropy,
-    run,
+    run_batch,
     spbwgd_step,
     spgd_step,
 )
@@ -308,8 +308,9 @@ def check_stochastic_convergence(iterations: int = 5000, seeds: int = 32) -> Che
     Quadratic d = 5, kappa = 10, far initialization, mini-batch 8,
     schedule from ``theorem_schedule`` with the exact initial distance;
     both algorithms with the Hessian-based estimators, averaged over
-    seeds.  Also requires the seed-averaged trajectory to be
-    non-increasing after smoothing over 100-iteration windows.
+    seeds (one batch per algorithm).  Also requires the seed-averaged
+    trajectory to be non-increasing after smoothing over 100-iteration
+    windows.
     """
     start = time.perf_counter()
     target = random_quadratic(5, 10.0, seed=42, center_scale=4.5)
@@ -330,8 +331,7 @@ def check_stochastic_convergence(iterations: int = 5000, seeds: int = 32) -> Che
     for algorithm in (Algorithm.SPGD, Algorithm.SPBWGD):
         config = OptimizerConfig(algorithm=algorithm, **opt_base)
         histories = []
-        for s in range(seeds):
-            trace = run(config, target, q0, schedule, seed=s, stream=0)
+        for trace in run_batch(config, target, q0, [(schedule, s, 0) for s in range(seeds)]):
             if trace.diverged:
                 passed = False
                 break

@@ -25,6 +25,7 @@ from .geometry import (
     GaussianVariational,
     _displacement,
     _sqrt_and_inv_sqrt,
+    _t,
     entropy,
     optimal_transport_map,
     sample,
@@ -75,14 +76,14 @@ def theory_constants(metadata: PotentialMetadata) -> TheoryConstants:
     )
 
 
-def _energy_estimate(
-    q: GaussianVariational, target: Potential, eps: np.ndarray
-) -> tuple[float, float]:
-    """``mean_k U(C eps_k + m)`` plus the exact entropy, and the standard
-    error of the energy term (0 for a single draw)."""
-    u = np.asarray(target.value(sample(q, eps)), dtype=float)
-    se = float(u.std(ddof=1) / math.sqrt(u.size)) if u.size > 1 else 0.0
-    return float(u.mean() + entropy(q)), se
+def _energy_estimate(q: GaussianVariational, target: Potential, z: np.ndarray):
+    """``mean_k U(z_k)`` plus the exact entropy, and the standard error of
+    the energy term (0 for a single draw), for draws ``z = C eps + m`` of
+    ``q``; one pair of values per chain for a stack of states."""
+    u = np.asarray(target.value(z), dtype=float)
+    n = u.shape[-1]
+    se = u.std(ddof=1, axis=-1) / math.sqrt(n) if n > 1 else np.zeros(u.shape[:-1])
+    return u.mean(axis=-1) + entropy(q), se
 
 
 def free_energy_mc(
@@ -98,22 +99,23 @@ def free_energy_mc(
     if q.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    value, std_error = _energy_estimate(q, target, rng.standard_normal((n_samples, q.dim)))
-    return FreeEnergyEstimate(value, std_error, n_samples)
+    z = sample(q, rng.standard_normal((n_samples, q.dim)))
+    value, std_error = _energy_estimate(q, target, z)
+    return FreeEnergyEstimate(float(value), float(std_error), n_samples)
 
 
 def free_energy_exact_quadratic(q: GaussianVariational, target: QuadraticPotential) -> float:
     """Exact ``F(q)`` for a quadratic target.
 
     ``E_q[U] = (1/2)(m - b)' A (m - b) + (1/2) tr(A Sigma)`` plus the
-    closed-form entropy.
+    closed-form entropy.  One value per chain for a stack of states.
     """
     if q.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
-    diff = q.mean - target.center
+    row = (q.mean - target.center)[..., None, :]
     ac = target.precision @ q.scale
-    energy = 0.5 * float(diff @ target.precision @ diff) + 0.5 * float(np.sum(ac * q.scale))
-    return energy + entropy(q)
+    quad = (row @ target.precision @ _t(row))[..., 0, 0]
+    return 0.5 * quad + 0.5 * (ac * q.scale).sum(axis=(-2, -1)) + entropy(q)
 
 
 def bregman_energy_quadratic(

@@ -23,8 +23,9 @@ unsymmetrized.
 
 ``param_gradient`` and ``bw_gradient`` are the entry points, one per
 geometry.  Both read the noise ``eps`` as the read-only ``(M, d)`` array
-from ``draw_noise`` (``None`` for exact gradients), and Price and exact
-gradients share one assembly from the mean Hessian.
+from ``draw_noise`` (``None`` for exact gradients; ``(B, M, d)`` for a stack
+of states), and Price and exact gradients share one assembly from the mean
+Hessian.  The optimizers pass the private forms the ``Z`` they have drawn.
 
 Noise is counter-based: a batch is reproduced exactly from its lineage
 ``(seed, stream, iteration)``, which is what makes paired comparisons
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, InvalidParameters
-from .geometry import GaussianVariational, sample, symmetrize
+from .geometry import GaussianVariational, _t, _tril, sample, symmetrize
 from .targets import Potential, QuadraticPotential
 
 __all__ = [
@@ -68,22 +69,36 @@ def draw_noise(dim: int, n_samples: int, seed: int, stream: int = 0, iteration: 
     """
     if n_samples < 1:
         raise InvalidParameters(f"n_samples must be >= 1, got {n_samples}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, iteration))
-    draws = np.random.default_rng(ss).standard_normal((n_samples, dim))
+    draws = _noise_generator(seed, stream, iteration).standard_normal((n_samples, dim))
     draws.setflags(write=False)
     return draws
 
 
+def _noise_generator(seed: int, stream: int, iteration: int) -> np.random.Generator:
+    """``default_rng`` of lineage ``(seed, stream, iteration)``, minus its dispatch."""
+    seeds = np.random.SeedSequence(entropy=seed, spawn_key=(stream, iteration))
+    return np.random.Generator(np.random.PCG64(seeds))
+
+
 def stein_weights(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
-    """Stein weights ``Sigma^{-1} (Z_k - m) = C^{-T} eps_k``, one row per draw."""
-    return solve_triangular(q.scale, eps.T, lower=True, trans="T").T
+    """Stein weights ``Sigma^{-1} (Z_k - m) = C^{-T} eps_k``, one row per draw
+    (solved chain by chain for a stack of states).  States and noise are
+    finite, so scipy's finiteness scan is skipped."""
+
+    def solve(scale, noise):  # C^{-T} eps', shape (d, M)
+        return solve_triangular(scale, noise.T, lower=True, trans="T", check_finite=False)
+
+    if eps.ndim == 2:
+        return solve(q.scale, eps).T
+    return _t(np.stack([solve(scale, noise) for scale, noise in zip(q.scale, eps)]))
 
 
 def _oracle(
-    kind: EstimatorKind, target: Potential, q: GaussianVariational, eps: np.ndarray | None
+    kind: EstimatorKind, target: Potential, q: GaussianVariational, eps: np.ndarray | None, z=None
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """``(location_grad, mean_hess, grads)`` from one sample of ``Z``, one
-    ``grad`` call and, for Price, one ``hessian_mean`` call.
+    """``(location_grad, mean_hess, grads)`` from one sample ``z`` of
+    ``C eps + m`` (drawn here unless given), one ``grad`` call and, for
+    Price, one ``hessian_mean`` call.
 
     Reparam returns the per-draw gradients in place of a mean Hessian;
     exact returns ``E_q[hess U]`` and no per-draw gradients.
@@ -97,13 +112,14 @@ def _oracle(
         raise InvalidParameters("stochastic estimators require a noise array")
     if q.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
-    if eps.ndim != 2 or eps.shape[0] < 1:
+    if eps.ndim != q.scale.ndim or eps.shape[-2] < 1:
         raise DimensionMismatch(f"noise must have shape (M, d) with M >= 1, got {eps.shape}")
-    z = sample(q, eps)
+    if z is None:
+        z = sample(q, eps)
     g = np.asarray(target.grad(z))
     if kind is EstimatorKind.BONNET_PRICE:
-        return g.mean(axis=0), target.hessian_mean(z), None
-    return g.mean(axis=0), None, g
+        return g.mean(axis=-2), target.hessian_mean(z), None
+    return g.mean(axis=-2), None, g
 
 
 def param_gradient(
@@ -115,12 +131,10 @@ def param_gradient(
     """``(location_grad, scale_grad)`` for the parameter-space update.
 
     The scale gradient is ``tril(H @ C)`` from the mean Hessian ``H``
-    (Price, exact) or ``tril(mean_k grad U(Z_k) eps_k')`` (reparam).
+    (Price, exact) or ``tril(mean_k grad U(Z_k) eps_k')`` (reparam); one
+    per chain for a stack of states.
     """
-    loc, mean_hess, g = _oracle(EstimatorKind(kind), target, q, eps)
-    if g is None:
-        return loc, np.tril(mean_hess @ q.scale)
-    return loc, np.tril(g.T @ eps / len(eps))
+    return _param_gradient(EstimatorKind(kind), target, q, eps)
 
 
 def bw_gradient(
@@ -133,9 +147,21 @@ def bw_gradient(
 
     The covariance gradient is ``H / 2`` from the mean Hessian ``H``
     (Price, exact; symmetrized against roundoff) or the unsymmetrized
-    Stein form ``(1/2) mean_k (C^{-T} eps_k) grad U(Z_k)'`` (reparam).
+    Stein form ``(1/2) mean_k (C^{-T} eps_k) grad U(Z_k)'`` (reparam); one
+    per chain for a stack of states.
     """
-    loc, mean_hess, g = _oracle(EstimatorKind(kind), target, q, eps)
+    return _bw_gradient(EstimatorKind(kind), target, q, eps)
+
+
+def _param_gradient(kind, target, q, eps, z=None):
+    loc, mean_hess, g = _oracle(kind, target, q, eps, z)
+    if g is None:
+        return loc, _tril(mean_hess @ q.scale)
+    return loc, _tril(_t(g) @ eps / eps.shape[-2])
+
+
+def _bw_gradient(kind, target, q, eps, z=None):
+    loc, mean_hess, g = _oracle(kind, target, q, eps, z)
     if g is None:
         return loc, symmetrize(0.5 * mean_hess)
-    return loc, 0.5 * (stein_weights(q, eps).T @ g) / len(eps)
+    return loc, 0.5 * (_t(stein_weights(q, eps)) @ g) / eps.shape[-2]

@@ -7,14 +7,20 @@ positive definite by construction.  Covariance matrices travel as plain
 output as ``(A + A.T) / 2`` to keep floating-point drift from accumulating
 over long optimization runs.
 
+The functions also take a stack of states (``_Chains``) or of matrices
+``(B, d, d)`` and act chain by chain, with a single state's arithmetic per
+chain; a matrix function raises if any matrix fails, as ``numpy.linalg`` does.
+
 All types are immutable values and all functions are pure, so everything
 here is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +46,38 @@ __all__ = [
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix or of each matrix in a stack."""
+    return a.swapaxes(-1, -2)
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return the symmetric part ``(a + a.T) / 2``."""
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + _t(a))
+
+
+@functools.cache
+def _strict_upper(d: int) -> np.ndarray:
+    """Mask of the strictly upper triangle of a ``(d, d)`` matrix (shared)."""
+    return np.triu(np.ones((d, d), dtype=bool), k=1)
+
+
+def _tril(a: np.ndarray) -> np.ndarray:
+    """``np.tril(a)`` of a matrix or of each matrix in a stack."""
+    return np.where(_strict_upper(a.shape[-1]), 0.0, a)
+
+
+def _check_square(a: np.ndarray):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+
+
+def _state_checks(mean: np.ndarray, scale: np.ndarray):
+    """Per chain: finite entries, zero upper triangle, positive diagonal."""
+    finite = np.isfinite(mean).all(axis=-1) & np.isfinite(scale).all(axis=(-2, -1))
+    lower = ~scale[..., _strict_upper(scale.shape[-1])].any(axis=-1)
+    positive = (scale.diagonal(axis1=-2, axis2=-1) > 0.0).all(axis=-1)
+    return finite, lower, positive
 
 
 def _frozen_array(value, dtype=float) -> np.ndarray:
@@ -74,23 +109,24 @@ class GaussianVariational:
             raise DimensionMismatch(
                 f"scale must have shape ({d}, {d}), got {scale.shape}"
             )
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(scale)):
+        finite, lower, positive = _state_checks(mean, scale)
+        if not finite:
             raise NotPositiveDefinite("mean/scale entries must be finite")
-        if np.any(np.triu(scale, k=1) != 0.0):
+        if not lower:
             raise NotPositiveDefinite("scale must be lower-triangular")
-        if np.any(np.diag(scale) <= 0.0):
+        if not positive:
             raise NotPositiveDefinite("scale diagonal must be strictly positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "scale", scale)
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     @property
     def sigma(self) -> np.ndarray:
         """Covariance ``scale @ scale.T``, symmetrized."""
-        return symmetrize(self.scale @ self.scale.T)
+        return symmetrize(self.scale @ _t(self.scale))
 
     @classmethod
     def from_covariance(cls, mean, sigma) -> "GaussianVariational":
@@ -104,6 +140,16 @@ class GaussianVariational:
             raise NotPositiveDefinite(f"variance must be positive, got {variance}")
         m = np.broadcast_to(np.asarray(mean, dtype=float), (dim,)).copy()
         return cls(m, math.sqrt(variance) * np.eye(dim))
+
+
+class _Chains(NamedTuple):
+    """Unvalidated stack of states: means ``(B, d)``, scales ``(B, d, d)``."""
+
+    mean: np.ndarray
+    scale: np.ndarray
+
+    dim = GaussianVariational.dim
+    sigma = GaussianVariational.sigma
 
 
 @dataclass(frozen=True)
@@ -148,8 +194,7 @@ def cholesky_factor(sigma: np.ndarray) -> np.ndarray:
             numerically degenerate covariance.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {sigma.shape}")
+    _check_square(sigma)
     try:
         return np.linalg.cholesky(symmetrize(sigma))
     except np.linalg.LinAlgError as err:
@@ -169,18 +214,18 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
         IndefiniteMatrix: if an eigenvalue is below ``-1e-10 * ||a||``.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if not math.isfinite(scale):
-        raise NotPositiveDefinite(f"matrix entries must be finite, max |a| = {scale}")
-    asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > 1e-8 * max(scale, 1e-300):
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance for scale {scale:.3e}")
+    _check_square(a)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(scale).all():
+        raise NotPositiveDefinite(f"matrix entries must be finite, max |a| = {scale.max()}")
+    asym = np.abs(a - _t(a)).max(axis=(-2, -1), initial=0.0)
+    floor = np.maximum(scale, 1e-300)
+    if (asym > 1e-8 * floor).any():
+        raise NotSymmetric(f"asymmetry {asym.max():.3e} exceeds tolerance for scale {scale.max():.3e}")
     w, v = np.linalg.eigh(symmetrize(a))
-    if w[0] < -1e-10 * max(scale, 1e-300):
-        raise IndefiniteMatrix(f"eigenvalue {w[0]:.3e} below PSD tolerance")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    if (w[..., 0] < -1e-10 * floor).any():
+        raise IndefiniteMatrix(f"eigenvalue {w[..., 0].min():.3e} below PSD tolerance")
+    root = (v * np.sqrt(w.clip(0.0, None))[..., None, :]) @ _t(v)
     return symmetrize(root)
 
 
@@ -197,8 +242,8 @@ def _sqrt_and_inv_sqrt(sigma: np.ndarray) -> _Roots:
 
 
 def _transport_linear(p_roots: _Roots, q: GaussianVariational) -> np.ndarray:
-    """Symmetric PD linear part of the optimal transport map from p to q,
-    given ``p_roots = _sqrt_and_inv_sqrt(p.sigma)``."""
+    """Symmetric PD linear part of the optimal transport map from p to q (or
+    each chain of q), given ``p_roots = _sqrt_and_inv_sqrt(p.sigma)``."""
     root, inv_root = p_roots
     inner = matrix_sqrt_psd(symmetrize(root @ q.sigma @ root))
     return symmetrize(inv_root @ inner @ inv_root)
@@ -214,10 +259,11 @@ def _displacement(
     return (np.eye(p.dim) - s) @ p.scale, q.mean - p.mean
 
 
-def _coupling_cost(p: GaussianVariational, p_roots: _Roots, q: GaussianVariational) -> float:
+def _coupling_cost(p: GaussianVariational, p_roots: _Roots, q: GaussianVariational):
     """Cost ``||m_q - m_p||^2 + ||(I - S) C_p||_F^2`` of the optimal coupling."""
     residual, dm = _displacement(p, p_roots, q)
-    return float(dm @ dm + np.sum(residual * residual))
+    dm_sq = (dm[..., None, :] @ dm[..., :, None])[..., 0, 0]  # ``dm @ dm`` per chain
+    return dm_sq + (residual * residual).sum(axis=(-2, -1))
 
 
 def w2_distance_sq(p: GaussianVariational, q: GaussianVariational) -> float:
@@ -232,7 +278,7 @@ def w2_distance_sq(p: GaussianVariational, q: GaussianVariational) -> float:
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return _coupling_cost(p, _sqrt_and_inv_sqrt(p.sigma), q)
+    return float(_coupling_cost(p, _sqrt_and_inv_sqrt(p.sigma), q))
 
 
 def optimal_transport_map(p: GaussianVariational, q: GaussianVariational) -> AffineMap:
@@ -252,19 +298,21 @@ def entropy(q: GaussianVariational) -> float:
 
     Exact: ``-(d/2) log(2 pi e) - sum_i log C_ii``.
     """
-    d = q.dim
-    return float(-0.5 * d * (LOG_2PI + 1.0) - np.sum(np.log(np.diag(q.scale))))
+    log_diag = np.log(q.scale.diagonal(axis1=-2, axis2=-1))
+    return -0.5 * q.dim * (LOG_2PI + 1.0) - log_diag.sum(axis=-1)
 
 
 def sample(q: GaussianVariational, noise: np.ndarray) -> np.ndarray:
     """Push standard-normal noise through the location-scale map ``C e + m``.
 
-    Accepts a single draw ``(d,)`` or a batch ``(..., d)``; deterministic
-    given the noise.
+    Accepts a single draw ``(d,)`` or a batch ``(..., d)`` (``(B, ..., d)``
+    for a stack of states); deterministic given the noise.
     """
     noise = np.asarray(noise, dtype=float)
     if noise.shape[-1] != q.dim:
         raise DimensionMismatch(
             f"noise dimension {noise.shape[-1]} != state dimension {q.dim}"
         )
-    return q.mean + noise @ q.scale.T
+    chains = q.mean.shape[:-1]
+    mean = q.mean.reshape(chains + (1,) * (noise.ndim - q.mean.ndim) + (q.dim,))
+    return mean + noise @ _t(q.scale)

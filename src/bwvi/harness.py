@@ -11,10 +11,14 @@ sweep, the noise stream id is the grid index of the step size, so all four
 algorithm/estimator combinations of one (step size, repetition) cell see
 identical noise (common random numbers), while distinct cells are
 independent.  Outputs are byte-identical across reruns and worker counts.
+
+A run's repetitions, and a sweep's cells of one algorithm/estimator pair,
+run as one lock-step batch; sweep workers take whole pairs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import sys
@@ -28,7 +32,7 @@ from .diagnostics import free_energy_mc
 from .errors import InvalidParameters
 from .estimators import EstimatorKind
 from .geometry import GaussianVariational, w2_distance_sq
-from .optimizers import Algorithm, OptimizerConfig, RunTrace, run
+from .optimizers import Algorithm, OptimizerConfig, RunTrace, run_batch
 from .schedules import StepSchedule, constant_schedule, theorem_schedule
 from .targets import (
     LogisticRidgePotential,
@@ -263,22 +267,25 @@ def build_schedule(
     return theorem_schedule(meta.strong_convexity, meta.smoothness, meta.dim, delta_sq)
 
 
-def execute_run(config: ExperimentConfig) -> list[RunTrace]:
-    """Run ``repetitions`` independent trajectories with seeds base..base+R-1."""
-    target = build_target(config)
-    q0 = build_initial_state(config, target.dim)
-    schedule = build_schedule(config, target, q0)
-    opt = OptimizerConfig(
-        algorithm=config.algorithm,
-        estimator=config.estimator,
+def _optimizer_config(config: ExperimentConfig, algorithm, estimator) -> OptimizerConfig:
+    return OptimizerConfig(
+        algorithm=algorithm,
+        estimator=estimator,
         minibatch=config.minibatch,
         max_iters=config.iterations,
         divergence_threshold=config.divergence_threshold,
     )
-    return [
-        run(opt, target, q0, schedule, seed=config.seed + rep, stream=0)
-        for rep in range(config.repetitions)
-    ]
+
+
+def execute_run(config: ExperimentConfig) -> list[RunTrace]:
+    """Run ``repetitions`` independent trajectories with seeds base..base+R-1,
+    as one batch."""
+    target = build_target(config)
+    q0 = build_initial_state(config, target.dim)
+    schedule = build_schedule(config, target, q0)
+    opt = _optimizer_config(config, config.algorithm, config.estimator)
+    chains = [(schedule, config.seed + rep, 0) for rep in range(config.repetitions)]
+    return run_batch(opt, target, q0, chains)
 
 
 def _format_float(value: float) -> str:
@@ -316,31 +323,24 @@ class SweepResult:
     diverged: bool
 
 
-def _run_sweep_cell(
-    args: tuple[ExperimentConfig, Potential, GaussianVariational, SweepCell],
-) -> SweepResult:
-    config, target, q0, cell = args
-    opt = OptimizerConfig(
-        algorithm=cell.algorithm,
-        estimator=cell.estimator,
-        minibatch=config.minibatch,
-        max_iters=config.iterations,
-        divergence_threshold=config.divergence_threshold,
-    )
-    seed = config.seed + cell.repetition
-    trace = run(
-        opt, target, q0, constant_schedule(cell.gamma),
-        seed=seed, stream=cell.gamma_index,
-    )
-    if trace.diverged:
-        return SweepResult(cell, seed, None, True)
-    eval_seed = np.random.SeedSequence(
-        entropy=seed, spawn_key=(_EVAL_STREAM_OFFSET + cell.gamma_index,)
-    )
-    estimate = free_energy_mc(trace.final_state, target, config.eval_samples, eval_seed)
-    if not math.isfinite(estimate.value):
-        return SweepResult(cell, seed, None, True)
-    return SweepResult(cell, seed, estimate.value, False)
+def _run_sweep_pair(
+    args: tuple[ExperimentConfig, Potential, GaussianVariational, list[SweepCell]],
+) -> list[SweepResult]:
+    """The cells of one algorithm/estimator pair, as one batch."""
+    config, target, q0, cells = args
+    opt = _optimizer_config(config, cells[0].algorithm, cells[0].estimator)
+    chains = [
+        (constant_schedule(c.gamma), config.seed + c.repetition, c.gamma_index) for c in cells
+    ]
+    results = []
+    for cell, (_, seed, stream), trace in zip(cells, chains, run_batch(opt, target, q0, chains)):
+        value = None
+        if not trace.diverged:
+            eval_seed = np.random.SeedSequence(seed, spawn_key=(_EVAL_STREAM_OFFSET + stream,))
+            value = free_energy_mc(trace.final_state, target, config.eval_samples, eval_seed).value
+        finite = value is not None and math.isfinite(value)
+        results.append(SweepResult(cell, seed, value if finite else None, not finite))
+    return results
 
 
 def sweep_cells(config: ExperimentConfig, grid: np.ndarray) -> list[SweepCell]:
@@ -353,22 +353,56 @@ def sweep_cells(config: ExperimentConfig, grid: np.ndarray) -> list[SweepCell]:
     ]
 
 
+def _openblas_functions(names: tuple[str, ...]) -> list:
+    """The first of ``names`` that each OpenBLAS library loaded in this
+    process exports (none where ``/proc/self/maps`` is missing)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({p for p in (line.split()[-1] for line in fh) if "openblas" in p.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        found += [getattr(lib, n) for n in names if hasattr(lib, n)][:1]
+    return found
+
+
+def _one_blas_thread():
+    """Pool initializer: one BLAS thread per sweep worker, so that workers
+    times threads stays within the cores; a no-op without a setter."""
+    setters = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+               "openblas_set_num_threads")
+    for setter in _openblas_functions(setters):
+        setter(1)
+
+
 def execute_sweep(
     config: ExperimentConfig, grid: np.ndarray, workers: int = 1
 ) -> list[SweepResult]:
-    """Run every sweep cell, concurrently if ``workers > 1``.
+    """Run every sweep cell, one batch per algorithm/estimator pair, the
+    pairs concurrently if ``workers > 1``.
 
     The target and initial state are built once and shared by every cell.
-    Results come back in deterministic cell order regardless of worker
-    scheduling.
+    Results come back in ``sweep_cells`` order regardless of workers.
     """
     target = build_target(config)
     q0 = build_initial_state(config, target.dim)
-    payload = [(config, target, q0, cell) for cell in sweep_cells(config, grid)]
+    cells = sweep_cells(config, grid)
+    payload = [
+        (config, target, q0, [c for c in cells if (c.algorithm, c.estimator) == pair])
+        for pair in itertools.product(SWEEP_ALGORITHMS, SWEEP_ESTIMATORS)
+    ]
     if workers <= 1:
-        return [_run_sweep_cell(p) for p in payload]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_sweep_cell, payload, chunksize=1))
+        batches = [_run_sweep_pair(p) for p in payload]
+    else:
+        with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
+            batches = list(pool.map(_run_sweep_pair, payload, chunksize=1))
+    by_cell = {res.cell: res for batch in batches for res in batch}
+    return [by_cell[cell] for cell in cells]
 
 
 def format_sweep_rows(results: list[SweepResult]) -> list[str]:

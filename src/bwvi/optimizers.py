@@ -9,9 +9,11 @@ closed-form proximal step on the entropy, each in its own geometry:
   gradient field and applies the entropy JKO operator, which has a
   closed-form matrix expression.
 
-A single run is sequential (iterate ``t+1`` depends on ``t``); multiple
-runs are independent and may execute concurrently with their own noise
-lineages.
+Independent runs of one configuration run in lock step: ``run_batch``
+steps B chains held as a stack (means ``(B, d)``, scales ``(B, d, d)``) with
+one call per operation.  Each chain keeps its own schedule and noise, so its
+trace is bitwise the one it has alone, and a diverged chain is frozen while
+the others go on.  A single run is the case B = 1.
 """
 
 from __future__ import annotations
@@ -30,17 +32,23 @@ from .errors import (
 )
 from .estimators import (
     EstimatorKind,
-    bw_gradient,
-    draw_noise,
-    param_gradient,
+    _bw_gradient,
+    _noise_generator,
+    _param_gradient,
 )
 from .geometry import (
     GaussianVariational,
+    _Chains,
     _coupling_cost,
+    _check_square,
     _sqrt_and_inv_sqrt,
+    _state_checks,
+    _t,
+    _tril,
     cholesky_factor,
     entropy,  # unused here; benchmarks/selfcheck.py traces a call to optimizers.entropy
     matrix_sqrt_psd,
+    sample,
     symmetrize,
 )
 from .schedules import StepSchedule
@@ -56,8 +64,11 @@ __all__ = [
     "spgd_step",
     "spbwgd_step",
     "run",
-    "parameter_vector",
+    "run_batch",
 ]
+
+#: Numerical failures that end one chain as diverged instead of raising.
+_FAILURES = (BwviError, np.linalg.LinAlgError, ValueError, FloatingPointError)
 
 
 class Algorithm(str, enum.Enum):
@@ -74,15 +85,18 @@ def entropy_prox(scale: np.ndarray, gamma: float) -> np.ndarray:
         ``C'_ii = (C_ii + sqrt(C_ii^2 + 4 gamma)) / 2 > 0``.
 
     Input diagonals may be non-positive (a gradient step can overshoot);
-    the prox repairs them by construction.
+    the prox repairs them by construction.  A stack of scale factors takes
+    one step size per factor.
     """
-    if gamma <= 0.0:
+    gamma = np.asarray(gamma, dtype=float)
+    if (gamma <= 0.0).any():
         raise InvalidParameters(f"gamma must be positive, got {gamma}")
     scale = np.asarray(scale, dtype=float)
-    diag = np.diag(scale)
-    out = np.tril(scale).copy()
-    new_diag = 0.5 * (diag + np.sqrt(diag * diag + 4.0 * gamma))
-    np.fill_diagonal(out, new_diag)
+    d = scale.shape[-1]
+    diag = scale.diagonal(axis1=-2, axis2=-1)
+    out = _tril(scale)
+    flat = out.reshape(out.shape[:-2] + (d * d,))  # a view: ``out`` is contiguous
+    flat[..., :: d + 1] = 0.5 * (diag + np.sqrt(diag * diag + 4.0 * gamma[..., None]))
     return out
 
 
@@ -96,19 +110,64 @@ def jko_entropy(sigma: np.ndarray, gamma: float) -> np.ndarray:
     The output is symmetric positive definite for any symmetric PSD input;
     the ``2 gamma I`` term is what rescues rank-deficient half-step
     covariances.  Means are untouched by the entropy and pass through the
-    operator unchanged.
+    operator unchanged.  A stack of covariances takes one step size per
+    covariance.
     """
-    if gamma <= 0.0:
+    gamma = np.asarray(gamma, dtype=float)
+    if (gamma <= 0.0).any():
         raise InvalidParameters(f"gamma must be positive, got {gamma}")
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {sigma.shape}")
-    sigma = symmetrize(sigma)
-    d = sigma.shape[0]
+    _check_square(sigma)
+    sigma, g = symmetrize(sigma), gamma[..., None, None]
     # Sigma (Sigma + 4 gamma I) = Sigma^2 + 4 gamma Sigma is symmetric PSD.
-    inner = symmetrize(sigma @ sigma + 4.0 * gamma * sigma)
+    inner = symmetrize(sigma @ sigma + 4.0 * g * sigma)
     root = matrix_sqrt_psd(inner)
-    return symmetrize(0.5 * (sigma + 2.0 * gamma * np.eye(d) + root))
+    return symmetrize(0.5 * (sigma + 2.0 * g * np.eye(sigma.shape[-1]) + root))
+
+
+def _per_chain(fn, stack: np.ndarray, *args) -> tuple[np.ndarray, dict]:
+    """``fn(stack, *args)`` and the errors of the chains it failed for, by
+    chain index.  If the call raises, ``fn`` runs again chain by chain, so
+    that only the bad chains fail; their output is the identity."""
+    try:
+        return fn(stack, *args), {}
+    except _FAILURES:
+        pass
+    out = np.empty(stack.shape)
+    errors = {}
+    for i in np.ndindex(stack.shape[:-2]):
+        try:
+            out[i] = fn(stack[i], *(a[i] for a in args))
+        except _FAILURES as err:
+            out[i] = np.eye(stack.shape[-1])
+            errors[i] = err
+    return out, errors
+
+
+def _step(algorithm, kind, target, q, eps, z, gamma) -> tuple[np.ndarray, np.ndarray, dict]:
+    """One step of ``algorithm`` from a state or from each chain of a stack,
+    with the draw ``z = C eps + m`` (``None``: drawn here) and one step size
+    per chain: the new means and scales and the failed chains' errors."""
+    gamma = np.asarray(gamma, dtype=float)
+    if algorithm is Algorithm.SPGD:
+        location_grad, scale_grad = _param_gradient(kind, target, q, eps, z)
+        half_scale = q.scale - gamma[..., None, None] * scale_grad
+        scale, errors = _per_chain(entropy_prox, half_scale, gamma)
+    else:
+        location_grad, covariance_grad = _bw_gradient(kind, target, q, eps, z)
+        m_factor = np.eye(q.dim) - 2.0 * gamma[..., None, None] * covariance_grad
+        half_factor = m_factor @ q.scale
+        sigma, errors = _per_chain(jko_entropy, half_factor @ _t(half_factor), gamma)
+        scale, cholesky_errors = _per_chain(cholesky_factor, sigma)
+        errors = {**cholesky_errors, **errors}
+    return q.mean - gamma[..., None] * location_grad, scale, errors
+
+
+def _single_step(algorithm, q, target, eps, gamma, estimator) -> GaussianVariational:
+    mean, scale, errors = _step(algorithm, EstimatorKind(estimator), target, q, eps, None, gamma)
+    if errors:
+        raise errors[()]
+    return GaussianVariational(mean, scale)
 
 
 def spgd_step(
@@ -122,10 +181,7 @@ def spgd_step(
 
     ``m' = m - gamma g_m``; ``C' = prox(C - gamma g_C, gamma)``.
     """
-    location_grad, scale_grad = param_gradient(estimator, target, q, eps)
-    mean = q.mean - gamma * location_grad
-    half_scale = q.scale - gamma * scale_grad
-    return GaussianVariational(mean, entropy_prox(half_scale, gamma))
+    return _single_step(Algorithm.SPGD, q, target, eps, gamma, estimator)
 
 
 def spbwgd_step(
@@ -143,13 +199,7 @@ def spbwgd_step(
     covariance-gradient estimate is not symmetric; it is evaluated as
     ``(M C)(M C)'`` so this holds exactly in floating point.
     """
-    location_grad, covariance_grad = bw_gradient(estimator, target, q, eps)
-    mean = q.mean - gamma * location_grad
-    m_factor = np.eye(q.dim) - 2.0 * gamma * covariance_grad
-    half_factor = m_factor @ q.scale
-    sigma_half = half_factor @ half_factor.T
-    sigma_new = jko_entropy(sigma_half, gamma)
-    return GaussianVariational(mean, cholesky_factor(sigma_new))
+    return _single_step(Algorithm.SPBWGD, q, target, eps, gamma, estimator)
 
 
 @dataclass(frozen=True)
@@ -225,13 +275,23 @@ def run(
     seed: int,
     stream: int = 0,
 ) -> RunTrace:
-    """Run one optimization trajectory.
+    """Run one optimization trajectory: ``run_batch`` with one chain."""
+    return run_batch(config, target, q0, [(schedule, seed, stream)])[0]
 
-    Draws a fresh noise batch per iteration with deterministic lineage
-    ``(seed, stream, t)``, records diagnostics at every iterate, and
-    converts numerical failures (non-finite or runaway free energy, failed
-    covariance factorization) into a diverged trace instead of an
-    exception.
+
+def run_batch(
+    config: OptimizerConfig,
+    target: Potential,
+    q0: GaussianVariational,
+    chains,
+) -> list[RunTrace]:
+    """One trajectory from ``q0`` per ``(schedule, seed, stream)`` in
+    ``chains``, run in lock step and returned in that order.
+
+    Each chain draws fresh noise per iteration with lineage ``(seed,
+    stream, t)``, records diagnostics at every iterate, and ends diverged,
+    not raising, at a non-finite or runaway free energy, a failed step or
+    an invalid new state, keeping its last valid state.
     """
     if q0.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q0.dim} != target dimension {target.dim}")
@@ -243,41 +303,68 @@ def run(
     # the optimum's side, which keeps full accuracy for converged iterates.
     star_roots = None if q_star is None else _sqrt_and_inv_sqrt(q_star.sigma)
 
-    step_fn = spgd_step if config.algorithm is Algorithm.SPGD else spbwgd_step
-    records: list[TraceRecord] = []
-    q = q0
+    records: list[list[TraceRecord]] = [[] for _ in chains]
+    finals: list = [None] * len(chains)
+    live = list(range(len(chains)))  # the chain of each row of the stack
+    q = _Chains(*(np.repeat(a[None], len(live), axis=0) for a in (q0.mean, q0.scale)))
+    eps = z = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(config.max_iters + 1):
-            gamma = schedule.step_at(t)
+            gammas = [chains[c][0].step_at(t) for c in live]
             if exact:
-                fe, se = free_energy_exact_quadratic(q, target), 0.0
-                eps = None
+                fe, se = free_energy_exact_quadratic(q, target), np.zeros(len(live))
             else:
-                eps = draw_noise(q.dim, config.minibatch, seed, stream, t)
-                fe, se = _energy_estimate(q, target, eps)
-            w2 = None
-            if q_star is not None:
-                try:
-                    w2 = _coupling_cost(q_star, star_roots, q)
-                except (BwviError, np.linalg.LinAlgError, ValueError):
-                    w2 = math.inf
-            bad = not math.isfinite(fe) or fe > config.divergence_threshold
-            records.append(TraceRecord(t, gamma, fe, se, w2, bad))
-            if bad or t == config.max_iters:
+                # Row by row, the draws of draw_noise(d, M, seed, stream, t).
+                eps = np.empty((len(live), config.minibatch, q0.dim))
+                for row, c in enumerate(live):
+                    _noise_generator(chains[c][1], chains[c][2], t).standard_normal(out=eps[row])
+                z = sample(q, eps)
+                fe, se = _energy_estimate(q, target, z)
+            fe = fe.tolist()
+            bad = [not math.isfinite(v) or v > config.divergence_threshold for v in fe]
+            w2 = _w2_records(q_star, star_roots, q)
+            for c, *record in zip(live, gammas, fe, se.tolist(), w2, bad):
+                records[c].append(TraceRecord(t, *record))
+            if t == config.max_iters:
                 break
-            try:
-                q = step_fn(q, target, eps, gamma, config.estimator)
-            except (BwviError, np.linalg.LinAlgError, ValueError, FloatingPointError):
-                records[-1] = replace(records[-1], diverged=True)
-                break
-    return RunTrace(tuple(records), q, seed, stream)
+            # A chain whose energy ran away takes the step too, and is
+            # dropped with the chains whose step failed.
+            mean, scale, errors = _step(
+                config.algorithm, config.estimator, target, q, eps, z, gammas
+            )
+            valid = np.logical_and.reduce(_state_checks(mean, scale)).tolist()
+            failed = [b or not v or (row,) in errors for row, (b, v) in enumerate(zip(bad, valid))]
+            if any(failed):
+                for row in np.flatnonzero(failed):
+                    records[live[row]][-1] = replace(records[live[row]][-1], diverged=True)
+                live, (mean, scale) = _freeze(failed, live, q, finals, mean, scale)
+                if not live:
+                    break
+            q = _Chains(mean, scale)
+    _freeze([True] * len(live), live, q, finals)
+    return [
+        RunTrace(tuple(rec), GaussianVariational(*final), seed, stream)
+        for rec, final, (_, seed, stream) in zip(records, finals, chains)
+    ]
 
 
-def parameter_vector(q: GaussianVariational) -> np.ndarray:
-    """Flatten ``(m, tril C)`` into the parameter vector ``lambda``.
+def _freeze(stop: list[bool], live: list[int], q: _Chains, finals: list, *arrays):
+    """Freeze the rows where ``stop`` holds at ``q``; keep the rest of ``live``, ``arrays``."""
+    keep = [not s for s in stop]
+    for row in np.flatnonzero(stop):
+        finals[live[row]] = (q.mean[row], q.scale[row])
+    return [c for c, k in zip(live, keep) if k], [a[keep] for a in arrays]
 
-    The Euclidean norm of this vector is the parameter-space metric; it
-    dominates the Wasserstein-2 distance between the represented Gaussians.
-    """
-    idx = np.tril_indices(q.dim)
-    return np.concatenate([q.mean, q.scale[idx]])
+
+def _w2_records(q_star, star_roots, q: _Chains) -> list:
+    """Squared W2 distance of each chain to the optimum (``None`` without a
+    closed-form optimum, ``inf`` for a chain whose record fails)."""
+    if q_star is None:
+        return [None] * len(q.mean)
+    try:
+        return _coupling_cost(q_star, star_roots, q).tolist()
+    except _FAILURES:
+        if len(q.mean) == 1:
+            return [math.inf]
+    rows = (_Chains(mean[None], scale[None]) for mean, scale in zip(q.mean, q.scale))
+    return [w for row in rows for w in _w2_records(q_star, star_roots, row)]

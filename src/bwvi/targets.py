@@ -82,9 +82,10 @@ class Potential:
         raise NotImplementedError
 
     def hessian_mean(self, points: np.ndarray) -> np.ndarray:
-        """Average Hessian over a batch of points, shape ``(d, d)``."""
+        """Average Hessian over a batch of points ``(M, d)``, shape ``(d, d)``;
+        over the draw axis of each chain's batch for ``(B, M, d)`` points."""
         h = self.hessian(np.atleast_2d(points))
-        return symmetrize(h.mean(axis=0))
+        return symmetrize(h.mean(axis=-3))
 
     def hessian_apply(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Row-wise products ``hess U(points[k]) @ vectors[k]``."""
@@ -158,10 +159,11 @@ class QuadraticPotential(Potential):
         return np.atleast_2d(np.asarray(vectors, dtype=float)) @ self.precision
 
     def exact_gradients(self, q: GaussianVariational) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form ``(E_q[grad U], E_q[hess U])`` for exact-gradient runs."""
+        """Closed-form ``(E_q[grad U], E_q[hess U])`` for exact-gradient runs
+        (per chain for a stack of states; the Hessian is shared)."""
         if q.dim != self.dim:
             raise DimensionMismatch(f"state dimension {q.dim} != target dimension {self.dim}")
-        return self.precision @ (q.mean - self.center), self.precision.copy()
+        return (self.precision @ (q.mean - self.center)[..., None])[..., 0], self.precision.copy()
 
 
 def quadratic_optimum(target: QuadraticPotential) -> GaussianVariational:
@@ -174,12 +176,8 @@ def quadratic_optimum(target: QuadraticPotential) -> GaussianVariational:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))  # never overflows; each branch as in 1 / (1 + exp(-t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -249,8 +247,8 @@ class LogisticRidgePotential(Potential):
     def hessian_mean(self, points):
         points = np.atleast_2d(self._check_point(points))
         s = _sigmoid(self._logits(points))
-        w = (s * (1.0 - s)).mean(axis=0)
-        return symmetrize(self.design.T @ (w[:, None] * self.design)) + self.ridge * np.eye(self.dim)
+        w = (s * (1.0 - s)).mean(axis=-2)
+        return symmetrize(self.design.T @ (w[..., None] * self.design)) + self.ridge * np.eye(self.dim)
 
     def hessian_apply(self, points, vectors):
         points = np.atleast_2d(self._check_point(points))

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from importlib.resources import files
 
 import numpy as np
@@ -18,9 +19,22 @@ from bwvi.harness import (
     SWEEP_HEADER,
     TRACE_HEADER,
     ExperimentConfig,
+    build_initial_state,
+    build_schedule,
+    build_target,
+    execute_run,
     execute_sweep,
     parse_experiment_config,
 )
+
+BLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
+)
+
+
+def blas_threads() -> list[int]:
+    """Thread count of each OpenBLAS library loaded in this process."""
+    return [getter() for getter in bwvi.harness._openblas_functions(BLAS_GETTERS)]
 
 
 def quadratic_config(**overrides):
@@ -218,6 +232,41 @@ class TestRunCommand:
         assert cli.main(["run", str(config_path), "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert all(row.split(",")[5] == "0.0" for row in rows)  # exact energies carry no SE
+
+
+class TestExecuteRun:
+    def test_repetitions_run_as_one_batch_equal_separate_runs(self, monkeypatch):
+        config = parse_experiment_config(quadratic_config(
+            algorithm="spbwgd", estimator="bonnet_reparam", repetitions=3, iterations=30,
+            schedule={"kind": "constant", "gamma": 0.05},
+        ))
+        batches = []
+
+        def counting(*args):
+            batches.append(len(args[3]))
+            return bwvi.optimizers.run_batch(*args)
+
+        monkeypatch.setattr(bwvi.harness, "run_batch", counting)
+        traces = execute_run(config)
+        assert batches == [3]
+        target = build_target(config)
+        q0 = build_initial_state(config, target.dim)
+        schedule = build_schedule(config, target, q0)
+        opt = bwvi.optimizers.OptimizerConfig(
+            algorithm="spbwgd", estimator="bonnet_reparam", minibatch=8, max_iters=30
+        )
+        for rep, trace in enumerate(traces):
+            alone = bwvi.optimizers.run(opt, target, q0, schedule, seed=rep)
+            assert trace.records == alone.records
+            np.testing.assert_array_equal(trace.final_state.scale, alone.final_state.scale)
+            np.testing.assert_array_equal(trace.final_state.mean, alone.final_state.mean)
+
+
+def test_sweep_worker_uses_one_blas_thread():
+    if not blas_threads():
+        pytest.skip("no OpenBLAS thread-count getter is loaded")
+    with ProcessPoolExecutor(1, initializer=bwvi.harness._one_blas_thread) as pool:
+        assert set(pool.submit(blas_threads).result()) == {1}
 
 
 class TestSweepCommand:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from bwvi.optimizers import (
     OptimizerConfig,
     entropy_prox,
     jko_entropy,
-    parameter_vector,
     run,
+    run_batch,
     spbwgd_step,
     spgd_step,
 )
@@ -23,6 +24,13 @@ from bwvi.schedules import constant_schedule, theorem_schedule
 from bwvi.targets import PotentialMetadata, QuadraticPotential, quadratic_optimum, random_quadratic
 
 from conftest import random_state
+
+
+def parameter_vector(q: GaussianVariational) -> np.ndarray:
+    """Flatten ``(m, tril C)`` into the parameter vector ``lambda``, whose
+    Euclidean norm is the parameter-space metric."""
+    idx = np.tril_indices(q.dim)
+    return np.concatenate([q.mean, q.scale[idx]])
 
 
 class ZeroPotential:
@@ -282,6 +290,99 @@ class TestRunDriver:
         for rec in trace.records:
             assert math.isfinite(rec.free_energy)
             assert rec.free_energy_se > 0.0
+
+
+@dataclass(frozen=True)
+class TrippedQuadratic(QuadraticPotential):
+    """Quadratic whose mean Hessian is NaN for a chain whose draws reach
+    beyond ``trip`` in the first coordinate, so that the Price step of just
+    that chain fails: SPBWGD in the JKO root, SPGD in the new state."""
+
+    trip: float = math.inf
+
+    def hessian_mean(self, points):
+        points = np.asarray(points)
+        h = np.broadcast_to(self.precision, points.shape[:-2] + self.precision.shape).copy()
+        h[points[..., 0].max(axis=-1) > self.trip] = np.nan
+        return h
+
+
+class ZeroAt:
+    """Step-size schedule that returns ``gamma`` except 0 at iteration ``t``."""
+
+    def __init__(self, gamma, t):
+        self.gamma, self.t = gamma, t
+
+    def step_at(self, t):
+        return 0.0 if t == self.t else self.gamma
+
+
+def assert_same_trace(a, b):
+    assert repr(a.records) == repr(b.records)  # repr: NaN energies compare equal
+    np.testing.assert_array_equal(a.final_state.mean, b.final_state.mean)
+    np.testing.assert_array_equal(a.final_state.scale, b.final_state.scale)
+    assert (a.diverged, a.seed, a.stream) == (b.diverged, b.seed, b.stream)
+
+
+PAIRS = [(a, e) for a in Algorithm for e in (EstimatorKind.BONNET_PRICE, EstimatorKind.BONNET_REPARAM)]
+
+
+class TestRunBatch:
+    THRESHOLD = 1e8
+
+    def batch(self, algorithm, estimator, gammas=(1e-3, 0.05, 0.3, 1e4), seeds=(0, 1)):
+        base = random_quadratic(3, 100.0, seed=5)
+        target = TrippedQuadratic(base.precision, base.center, trip=8.0)
+        q0 = GaussianVariational.isotropic(3, 0.0, 0.34)
+        config = OptimizerConfig(
+            algorithm=algorithm, estimator=estimator, max_iters=200,
+            divergence_threshold=self.THRESHOLD,
+        )
+        chains = [(constant_schedule(g), s, i) for i, g in enumerate(gammas) for s in seeds]
+        return config, target, q0, chains
+
+    @pytest.mark.parametrize("algorithm, estimator", PAIRS)
+    def test_each_chain_equals_its_own_run(self, algorithm, estimator):
+        config, target, q0, chains = self.batch(algorithm, estimator)
+        traces = run_batch(config, target, q0, chains)
+        for chain, trace in zip(chains, traces):
+            assert_same_trace(trace, run(config, target, q0, *chain))
+        endings = set()
+        for trace in traces:
+            last = trace.records[-1]
+            energy_ok = math.isfinite(last.free_energy) and last.free_energy <= self.THRESHOLD
+            endings.add("completed" if not trace.diverged else "step" if energy_ok else "energy")
+        # Mixed step sizes: chains that complete, that run away early and,
+        # with Price, that fail inside the step while the others go on.
+        price = estimator is EstimatorKind.BONNET_PRICE
+        expected = {"completed", "energy"} | ({"step"} if price else set())
+        assert endings == expected
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_frozen_chain_diverges_at_its_own_t(self, algorithm):
+        config, target, q0, chains = self.batch(algorithm, EstimatorKind.BONNET_REPARAM)
+        traces = run_batch(config, target, q0, chains)
+        ends = {len(t.records) - 1 for t in traces if t.diverged}
+        assert len(ends) > 1 and max(ends) < config.max_iters
+        assert any(len(t.records) == config.max_iters + 1 for t in traces)  # the others went on
+        for chain, trace in zip(chains, traces):
+            alone = run(config, target, q0, *chain)
+            assert trace.records[-1].t == alone.records[-1].t
+            assert trace.records[-1].diverged == alone.records[-1].diverged
+            np.testing.assert_array_equal(trace.final_state.scale, alone.final_state.scale)
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_nonpositive_step_diverges_alone(self, algorithm):
+        target = random_quadratic(2, 5.0, seed=3)
+        q0 = GaussianVariational.isotropic(2, 0.0, 0.34)
+        config = OptimizerConfig(algorithm=algorithm, max_iters=20)
+        steady = constant_schedule(0.01)
+        chains = [(steady, 0, 0), (ZeroAt(0.01, 7), 0, 1), (steady, 1, 2)]
+        traces = run_batch(config, target, q0, chains)
+        assert [t.diverged for t in traces] == [False, True, False]
+        assert traces[1].records[-1].t == 7 and traces[1].records[-1].gamma == 0.0
+        for chain, trace in zip(chains, traces):
+            assert_same_trace(trace, run(config, target, q0, *chain))
 
 
 class TestConfigValidation:
