@@ -76,14 +76,18 @@ def theory_constants(metadata: PotentialMetadata) -> TheoryConstants:
     )
 
 
-def _energy_estimate(q: GaussianVariational, target: Potential, z: np.ndarray):
-    """``mean_k U(z_k)`` plus the exact entropy, and the standard error of
-    the energy term (0 for a single draw), for draws ``z = C eps + m`` of
-    ``q``; one pair of values per chain for a stack of states."""
-    u = np.asarray(target.value(z), dtype=float)
+def _energy_estimate(q: GaussianVariational, u: np.ndarray):
+    """``mean_k u_k`` plus the exact entropy, and the standard error of the
+    energy term (0 for a single draw), for the values ``u = U(z)`` at draws
+    ``z = C eps + m`` of ``q``; one pair of values per chain for a stack of
+    states.  The reductions are those of ``u.mean`` and ``u.std(ddof=1)``,
+    bit for bit, without their dispatch."""
     n = u.shape[-1]
-    se = u.std(ddof=1, axis=-1) / math.sqrt(n) if n > 1 else np.zeros(u.shape[:-1])
-    return u.mean(axis=-1) + entropy(q), se
+    mean = np.add.reduce(u, axis=-1, keepdims=True) / n
+    se = np.zeros(u.shape[:-1])
+    if n > 1:
+        se = np.sqrt(np.add.reduce(np.square(u - mean), axis=-1) / (n - 1)) / math.sqrt(n)
+    return mean[..., 0] + entropy(q), se
 
 
 def free_energy_mc(
@@ -100,7 +104,7 @@ def free_energy_mc(
         raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = sample(q, rng.standard_normal((n_samples, q.dim)))
-    value, std_error = _energy_estimate(q, target, z)
+    value, std_error = _energy_estimate(q, np.asarray(target.value(z), dtype=float))
     return FreeEnergyEstimate(float(value), float(std_error), n_samples)
 
 

@@ -24,8 +24,9 @@ unsymmetrized.
 ``param_gradient`` and ``bw_gradient`` are the entry points, one per
 geometry.  Both read the noise ``eps`` as the read-only ``(M, d)`` array
 from ``draw_noise`` (``None`` for exact gradients; ``(B, M, d)`` for a stack
-of states), and Price and exact gradients share one assembly from the mean
-Hessian.  The optimizers pass the private forms the ``Z`` they have drawn.
+of states), make one ``target.evaluate`` call at ``Z = C eps + m``, and
+Price and exact gradients share one assembly from the mean Hessian.  The
+optimizers pass the private forms the evaluation they have already made.
 
 Noise is counter-based: a batch is reproduced exactly from its lineage
 ``(seed, stream, iteration)``, which is what makes paired comparisons
@@ -37,7 +38,7 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, InvalidParameters
 from .geometry import GaussianVariational, _t, _tril, sample, symmetrize
@@ -82,11 +83,14 @@ def _noise_generator(seed: int, stream: int, iteration: int) -> np.random.Genera
 
 def stein_weights(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
     """Stein weights ``Sigma^{-1} (Z_k - m) = C^{-T} eps_k``, one row per draw
-    (solved chain by chain for a stack of states).  States and noise are
-    finite, so scipy's finiteness scan is skipped."""
+    (solved chain by chain for a stack of states) by LAPACK ``trtrs``;
+    ``LinAlgError`` for a zero diagonal entry."""
 
-    def solve(scale, noise):  # C^{-T} eps', shape (d, M)
-        return solve_triangular(scale, noise.T, lower=True, trans="T", check_finite=False)
+    def solve(scale, noise):  # C' x = eps', shape (d, M), as scipy's solve_triangular calls it
+        x, info = dtrtrs(scale.T, noise.T, lower=0, trans=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
+        return x
 
     if eps.ndim == 2:
         return solve(q.scale, eps).T
@@ -94,11 +98,12 @@ def stein_weights(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
 
 
 def _oracle(
-    kind: EstimatorKind, target: Potential, q: GaussianVariational, eps: np.ndarray | None, z=None
+    kind: EstimatorKind, target: Potential, q: GaussianVariational, eps: np.ndarray | None,
+    evaluation=None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """``(location_grad, mean_hess, grads)`` from one sample ``z`` of
-    ``C eps + m`` (drawn here unless given), one ``grad`` call and, for
-    Price, one ``hessian_mean`` call.
+    """``(location_grad, mean_hess, grads)`` from ``evaluation``, the
+    ``target.evaluate`` result at the draws ``C eps + m`` (made here unless
+    given), with the mean Hessian for Price only.
 
     Reparam returns the per-draw gradients in place of a mean Hessian;
     exact returns ``E_q[hess U]`` and no per-draw gradients.
@@ -108,18 +113,17 @@ def _oracle(
             raise InvalidParameters("exact gradients are only available for quadratic targets")
         loc, mean_hess = target.exact_gradients(q)
         return loc, mean_hess, None
-    if eps is None:
-        raise InvalidParameters("stochastic estimators require a noise array")
-    if q.dim != target.dim:
-        raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
-    if eps.ndim != q.scale.ndim or eps.shape[-2] < 1:
-        raise DimensionMismatch(f"noise must have shape (M, d) with M >= 1, got {eps.shape}")
-    if z is None:
-        z = sample(q, eps)
-    g = np.asarray(target.grad(z))
-    if kind is EstimatorKind.BONNET_PRICE:
-        return g.mean(axis=-2), target.hessian_mean(z), None
-    return g.mean(axis=-2), None, g
+    price = kind is EstimatorKind.BONNET_PRICE
+    if evaluation is None:
+        if eps is None:
+            raise InvalidParameters("stochastic estimators require a noise array")
+        if q.dim != target.dim:
+            raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
+        if eps.ndim != q.scale.ndim or eps.shape[-2] < 1:
+            raise DimensionMismatch(f"noise must have shape (M, d) with M >= 1, got {eps.shape}")
+        evaluation = target.evaluate(sample(q, eps), price)
+    _, g, mean_hess = evaluation
+    return g.mean(axis=-2), mean_hess, None if price else g
 
 
 def param_gradient(
@@ -153,15 +157,15 @@ def bw_gradient(
     return _bw_gradient(EstimatorKind(kind), target, q, eps)
 
 
-def _param_gradient(kind, target, q, eps, z=None):
-    loc, mean_hess, g = _oracle(kind, target, q, eps, z)
+def _param_gradient(kind, target, q, eps, evaluation=None):
+    loc, mean_hess, g = _oracle(kind, target, q, eps, evaluation)
     if g is None:
         return loc, _tril(mean_hess @ q.scale)
     return loc, _tril(_t(g) @ eps / eps.shape[-2])
 
 
-def _bw_gradient(kind, target, q, eps, z=None):
-    loc, mean_hess, g = _oracle(kind, target, q, eps, z)
+def _bw_gradient(kind, target, q, eps, evaluation=None):
+    loc, mean_hess, g = _oracle(kind, target, q, eps, evaluation)
     if g is None:
         return loc, symmetrize(0.5 * mean_hess)
     return loc, 0.5 * (_t(stein_weights(q, eps)) @ g) / eps.shape[-2]

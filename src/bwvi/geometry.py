@@ -215,14 +215,26 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     _check_square(a)
+    scale = _finite_scale(a)
+    asym = np.abs(a - _t(a)).max(axis=(-2, -1), initial=0.0)
+    if (asym > 1e-8 * np.maximum(scale, 1e-300)).any():
+        raise NotSymmetric(f"asymmetry {asym.max():.3e} exceeds tolerance for scale {scale.max():.3e}")
+    return _sqrt_symmetric(symmetrize(a))
+
+
+def _finite_scale(a: np.ndarray) -> np.ndarray:
+    """``max |a|`` of each matrix; raises ``NotPositiveDefinite`` if one is not finite."""
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(scale).all():
         raise NotPositiveDefinite(f"matrix entries must be finite, max |a| = {scale.max()}")
-    asym = np.abs(a - _t(a)).max(axis=(-2, -1), initial=0.0)
-    floor = np.maximum(scale, 1e-300)
-    if (asym > 1e-8 * floor).any():
-        raise NotSymmetric(f"asymmetry {asym.max():.3e} exceeds tolerance for scale {scale.max():.3e}")
-    w, v = np.linalg.eigh(symmetrize(a))
+    return scale
+
+
+def _sqrt_symmetric(a: np.ndarray) -> np.ndarray:
+    """``matrix_sqrt_psd`` of an exactly symmetric matrix or stack, such as
+    the output of ``symmetrize``: the same checks but the asymmetry scan."""
+    floor = np.maximum(_finite_scale(a), 1e-300)
+    w, v = np.linalg.eigh(a)
     if (w[..., 0] < -1e-10 * floor).any():
         raise IndefiniteMatrix(f"eigenvalue {w[..., 0].min():.3e} below PSD tolerance")
     root = (v * np.sqrt(w.clip(0.0, None))[..., None, :]) @ _t(v)
@@ -245,7 +257,7 @@ def _transport_linear(p_roots: _Roots, q: GaussianVariational) -> np.ndarray:
     """Symmetric PD linear part of the optimal transport map from p to q (or
     each chain of q), given ``p_roots = _sqrt_and_inv_sqrt(p.sigma)``."""
     root, inv_root = p_roots
-    inner = matrix_sqrt_psd(symmetrize(root @ q.sigma @ root))
+    inner = _sqrt_symmetric(symmetrize(root @ q.sigma @ root))
     return symmetrize(inv_root @ inner @ inv_root)
 
 

@@ -259,7 +259,9 @@ def build_schedule(
     if "delta_sq" in spec:
         delta_sq = float(spec["delta_sq"])
     elif isinstance(target, QuadraticPotential):
-        delta_sq = meta.strong_convexity * w2_distance_sq(q0, quadratic_optimum(target))
+        with np.errstate(over="ignore", invalid="ignore"):  # a far init.mean overflows it
+            w2 = w2_distance_sq(q0, quadratic_optimum(target))
+        delta_sq = meta.strong_convexity * (w2 if math.isfinite(w2) else math.inf)
     else:
         raise InvalidParameters(
             "config field 'schedule.delta_sq': required for non-quadratic targets"

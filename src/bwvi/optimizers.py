@@ -13,7 +13,10 @@ Independent runs of one configuration run in lock step: ``run_batch``
 steps B chains held as a stack (means ``(B, d)``, scales ``(B, d, d)``) with
 one call per operation.  Each chain keeps its own schedule and noise, so its
 trace is bitwise the one it has alone, and a diverged chain is frozen while
-the others go on.  A single run is the case B = 1.
+the others go on.  A single run is the case B = 1.  Each iteration makes
+one potential-oracle call, ``target.evaluate`` at the draws ``C eps + m``:
+its values give the free-energy record, and its gradients (with Price, its
+mean Hessian) give the step.
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ from .geometry import (
     _coupling_cost,
     _check_square,
     _sqrt_and_inv_sqrt,
+    _sqrt_symmetric,
     _state_checks,
     _t,
     _tril,
     cholesky_factor,
     entropy,  # unused here; benchmarks/selfcheck.py traces a call to optimizers.entropy
-    matrix_sqrt_psd,
     sample,
     symmetrize,
 )
@@ -121,7 +124,7 @@ def jko_entropy(sigma: np.ndarray, gamma: float) -> np.ndarray:
     sigma, g = symmetrize(sigma), gamma[..., None, None]
     # Sigma (Sigma + 4 gamma I) = Sigma^2 + 4 gamma Sigma is symmetric PSD.
     inner = symmetrize(sigma @ sigma + 4.0 * g * sigma)
-    root = matrix_sqrt_psd(inner)
+    root = _sqrt_symmetric(inner)
     return symmetrize(0.5 * (sigma + 2.0 * g * np.eye(sigma.shape[-1]) + root))
 
 
@@ -144,17 +147,18 @@ def _per_chain(fn, stack: np.ndarray, *args) -> tuple[np.ndarray, dict]:
     return out, errors
 
 
-def _step(algorithm, kind, target, q, eps, z, gamma) -> tuple[np.ndarray, np.ndarray, dict]:
+def _step(algorithm, kind, target, q, eps, evaluation, gamma) -> tuple[np.ndarray, np.ndarray, dict]:
     """One step of ``algorithm`` from a state or from each chain of a stack,
-    with the draw ``z = C eps + m`` (``None``: drawn here) and one step size
-    per chain: the new means and scales and the failed chains' errors."""
+    with the ``target.evaluate`` result at the draws ``C eps + m``
+    (``None``: evaluated here) and one step size per chain: the new means
+    and scales and the failed chains' errors."""
     gamma = np.asarray(gamma, dtype=float)
     if algorithm is Algorithm.SPGD:
-        location_grad, scale_grad = _param_gradient(kind, target, q, eps, z)
+        location_grad, scale_grad = _param_gradient(kind, target, q, eps, evaluation)
         half_scale = q.scale - gamma[..., None, None] * scale_grad
         scale, errors = _per_chain(entropy_prox, half_scale, gamma)
     else:
-        location_grad, covariance_grad = _bw_gradient(kind, target, q, eps, z)
+        location_grad, covariance_grad = _bw_gradient(kind, target, q, eps, evaluation)
         m_factor = np.eye(q.dim) - 2.0 * gamma[..., None, None] * covariance_grad
         half_factor = m_factor @ q.scale
         sigma, errors = _per_chain(jko_entropy, half_factor @ _t(half_factor), gamma)
@@ -307,7 +311,8 @@ def run_batch(
     finals: list = [None] * len(chains)
     live = list(range(len(chains)))  # the chain of each row of the stack
     q = _Chains(*(np.repeat(a[None], len(live), axis=0) for a in (q0.mean, q0.scale)))
-    eps = z = None
+    price = config.estimator is EstimatorKind.BONNET_PRICE
+    eps = evaluation = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(config.max_iters + 1):
             gammas = [chains[c][0].step_at(t) for c in live]
@@ -318,8 +323,8 @@ def run_batch(
                 eps = np.empty((len(live), config.minibatch, q0.dim))
                 for row, c in enumerate(live):
                     _noise_generator(chains[c][1], chains[c][2], t).standard_normal(out=eps[row])
-                z = sample(q, eps)
-                fe, se = _energy_estimate(q, target, z)
+                evaluation = target.evaluate(sample(q, eps), price)
+                fe, se = _energy_estimate(q, evaluation[0])
             fe = fe.tolist()
             bad = [not math.isfinite(v) or v > config.divergence_threshold for v in fe]
             w2 = _w2_records(q_star, star_roots, q)
@@ -330,7 +335,7 @@ def run_batch(
             # A chain whose energy ran away takes the step too, and is
             # dropped with the chains whose step failed.
             mean, scale, errors = _step(
-                config.algorithm, config.estimator, target, q, eps, z, gammas
+                config.algorithm, config.estimator, target, q, eps, evaluation, gammas
             )
             valid = np.logical_and.reduce(_state_checks(mean, scale)).tolist()
             failed = [b or not v or (row,) in errors for row, (b, v) in enumerate(zip(bad, valid))]

@@ -5,6 +5,10 @@ log-density, plus strong-convexity/smoothness metadata ``(mu, L)``.  All
 evaluation methods accept a single point ``(d,)`` or a batch ``(k, d)``
 and are pure, so targets are safe to evaluate concurrently.
 
+``evaluate`` is the oracle the optimizers call once per iteration: values,
+gradients and (for Price) the mean Hessian at one batch of draws, from
+shared work (on the logistic target, one logits product and one ``exp``).
+
 Hessians are returned dense; the gradient estimators need full
 ``H @ C`` products and the intended problem sizes are small (d up to a
 few hundred).
@@ -61,9 +65,11 @@ class PotentialMetadata:
 class Potential:
     """Base class for twice-differentiable strongly log-concave targets.
 
-    Subclasses must set ``metadata`` and implement ``value``, ``grad``,
-    and ``hessian``; the batched Hessian reductions below have generic
-    fallbacks that subclasses override when a cheaper form exists.
+    Subclasses set ``metadata`` and implement ``value``, ``grad``,
+    ``hessian`` (dense, per point), ``evaluate``, ``hessian_mean`` (the
+    average Hessian over the draw axis: ``(d, d)`` for ``(M, d)`` points,
+    one per chain for ``(B, M, d)``) and ``hessian_apply`` (row-wise
+    products ``hess U(points[k]) @ vectors[k]``).
     """
 
     metadata: PotentialMetadata
@@ -81,18 +87,10 @@ class Potential:
     def hessian(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def hessian_mean(self, points: np.ndarray) -> np.ndarray:
-        """Average Hessian over a batch of points ``(M, d)``, shape ``(d, d)``;
-        over the draw axis of each chain's batch for ``(B, M, d)`` points."""
-        h = self.hessian(np.atleast_2d(points))
-        return symmetrize(h.mean(axis=-3))
-
-    def hessian_apply(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """Row-wise products ``hess U(points[k]) @ vectors[k]``."""
-        points = np.atleast_2d(points)
-        vectors = np.atleast_2d(vectors)
-        h = self.hessian(points)
-        return np.einsum("kij,kj->ki", h, vectors)
+    def evaluate(self, z: np.ndarray, hessian: bool):
+        """``(value(z), grad(z), hessian_mean(z) if hessian else None)`` at a
+        batch of draws ``(M, d)`` or ``(B, M, d)``, in one pass."""
+        raise NotImplementedError
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -138,13 +136,17 @@ class QuadraticPotential(Potential):
         )
 
     def value(self, x):
-        x = self._check_point(x)
-        diff = x - self.center
-        return 0.5 * np.sum(diff * (diff @ self.precision), axis=-1)
+        return self.evaluate(x, False)[0]
 
     def grad(self, x):
         x = self._check_point(x)
         return (x - self.center) @ self.precision
+
+    def evaluate(self, z, hessian):
+        diff = self._check_point(z) - self.center
+        g = diff @ self.precision
+        values = 0.5 * np.sum(np.multiply(diff, g, out=diff), axis=-1)
+        return values, g, self.hessian_mean(z) if hessian else None
 
     def hessian(self, x):
         x = self._check_point(x)
@@ -175,9 +177,11 @@ def quadratic_optimum(target: QuadraticPotential) -> GaussianVariational:
     return GaussianVariational(target.center, cholesky_factor(sigma_star))
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(t))  # never overflows; each branch as in 1 / (1 + exp(-t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-t))`` from ``e = exp(-|t|)``: ``1 / (1 + e)`` where
+    ``t >= 0``, ``e / (1 + e)`` elsewhere, so nothing overflows."""
+    d = 1.0 + e
+    return np.divide(np.where(t >= 0, 1.0, e), d, out=d)
 
 
 @dataclass(frozen=True)
@@ -220,23 +224,44 @@ class LogisticRidgePotential(Potential):
             PotentialMetadata(x.shape[1], float(self.ridge), float(self.ridge) + 0.25 * gram_top),
         )
 
-    def _logits(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.design.T
+    def _logits(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Logits ``t = x X'`` and ``e = exp(-|t|)``, which never overflows."""
+        t = x @ self.design.T
+        e = np.abs(t)
+        np.negative(e, out=e)
+        return t, np.exp(e, out=e)
+
+    def _value(self, x, t, e):
+        """``U(x)`` from the logits; ``softplus(t) = log1p(e) + max(t, 0)``.
+        Overwrites ``e``."""
+        loss = np.log1p(e, out=e)
+        part = np.maximum(t, 0.0)
+        loss += part
+        loss -= np.multiply(self.labels, t, out=part)
+        return loss.sum(axis=-1) + 0.5 * self.ridge * np.sum(x * x, axis=-1)
+
+    def evaluate(self, z, hessian):
+        z = self._check_point(z)
+        t, e = self._logits(z)
+        s = _sigmoid(t, e)
+        mean_hess = None
+        if hessian:
+            w = (s * (1.0 - s)).mean(axis=-2)
+            mean_hess = symmetrize(self.design.T @ (w[..., None] * self.design))
+            mean_hess += self.ridge * np.eye(self.dim)
+        s -= self.labels
+        return self._value(z, t, e), s @ self.design + self.ridge * z, mean_hess
 
     def value(self, x):
         x = self._check_point(x)
-        t = self._logits(x)
-        loss = np.sum(np.logaddexp(0.0, t) - self.labels * t, axis=-1)
-        return loss + 0.5 * self.ridge * np.sum(x * x, axis=-1)
+        return self._value(x, *self._logits(x))
 
     def grad(self, x):
-        x = self._check_point(x)
-        resid = _sigmoid(self._logits(x)) - self.labels
-        return resid @ self.design + self.ridge * x
+        return self.evaluate(x, False)[1]
 
     def hessian(self, x):
         x = self._check_point(x)
-        s = _sigmoid(self._logits(x))
+        s = _sigmoid(*self._logits(x))
         w = s * (1.0 - s)
         eye = self.ridge * np.eye(self.dim)
         if x.ndim == 1:
@@ -245,15 +270,12 @@ class LogisticRidgePotential(Potential):
         return h + eye
 
     def hessian_mean(self, points):
-        points = np.atleast_2d(self._check_point(points))
-        s = _sigmoid(self._logits(points))
-        w = (s * (1.0 - s)).mean(axis=-2)
-        return symmetrize(self.design.T @ (w[..., None] * self.design)) + self.ridge * np.eye(self.dim)
+        return self.evaluate(np.atleast_2d(points), True)[2]
 
     def hessian_apply(self, points, vectors):
         points = np.atleast_2d(self._check_point(points))
         vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-        s = _sigmoid(self._logits(points))
+        s = _sigmoid(*self._logits(points))
         w = s * (1.0 - s)
         proj = vectors @ self.design.T
         return (w * proj) @ self.design + self.ridge * vectors

@@ -11,9 +11,11 @@ from bwvi.estimators import (
     bw_gradient,
     draw_noise,
     param_gradient,
+    stein_weights,
 )
-from bwvi.geometry import GaussianVariational, sample, symmetrize
-from bwvi.optimizers import spbwgd_step, spgd_step
+from bwvi.geometry import GaussianVariational, _Chains, sample, symmetrize
+from bwvi.optimizers import Algorithm, OptimizerConfig, run_batch, spbwgd_step, spgd_step
+from bwvi.schedules import constant_schedule
 from bwvi.targets import LogisticRidgePotential, QuadraticPotential, quadratic_optimum, random_quadratic
 
 from conftest import random_state
@@ -227,6 +229,27 @@ class TestReparamEstimators:
         assert np.max(np.abs(est - 0.5 * inv_sigma)) <= 0.1
 
 
+class TestSteinWeights:
+    def test_bitwise_equal_to_solve_triangular(self):
+        rng = np.random.default_rng(21)
+        states = [random_state(rng, 5) for _ in range(3)]
+        eps = rng.standard_normal((3, 8, 5))
+
+        def reference(scale, noise):
+            return solve_triangular(scale, noise.T, lower=True, trans="T", check_finite=False).T
+
+        got = stein_weights(states[0], eps[0])
+        assert got.tobytes() == reference(states[0].scale, eps[0]).tobytes()
+        stack = _Chains(np.stack([q.mean for q in states]), np.stack([q.scale for q in states]))
+        expected = np.stack([reference(q.scale, e) for q, e in zip(states, eps)])
+        assert stein_weights(stack, eps).tobytes() == expected.tobytes()
+
+    def test_zero_diagonal_raises_linalg_error(self):
+        q = _Chains(np.zeros(2), np.array([[1.0, 0.0], [0.5, 0.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            stein_weights(q, np.ones((4, 2)))
+
+
 class TestDispatch:
     def test_param_geometry_is_triangular(self, quad, state):
         for kind in (EstimatorKind.BONNET_PRICE, EstimatorKind.BONNET_REPARAM):
@@ -258,9 +281,10 @@ class TestDispatch:
 
 
 class CountingPotential:
-    """Delegates to a potential and counts calls to its oracle methods."""
+    """Delegates to a potential and counts calls to its oracle methods, and
+    the ``evaluate`` calls that ask for the mean Hessian."""
 
-    ORACLES = ("value", "grad", "hessian_mean", "hessian_apply")
+    ORACLES = ("evaluate", "value", "grad", "hessian_mean", "hessian_apply")
 
     def __init__(self, inner):
         self.inner = inner
@@ -273,9 +297,14 @@ class CountingPotential:
 
         def counted(*args):
             self.calls[name] += 1
+            if name == "evaluate" and args[1]:
+                self.calls["evaluate with hessian"] += 1
             return attr(*args)
 
         return counted
+
+    def oracle_calls(self) -> int:
+        return sum(self.calls[name] for name in self.ORACLES)
 
 
 class TestOracleCalls:
@@ -284,6 +313,22 @@ class TestOracleCalls:
     def test_one_potential_evaluation_per_step(self, quad, state, step, kind, hessian_calls):
         target = CountingPotential(quad)
         step(state, target, draw_noise(5, 8, seed=16), 0.01, kind)
-        assert target.calls["grad"] == 1
-        assert target.calls["hessian_mean"] == hessian_calls
-        assert target.calls["value"] == target.calls["hessian_apply"] == 0
+        assert target.oracle_calls() == target.calls["evaluate"] == 1
+        assert target.calls["evaluate with hessian"] == hessian_calls
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    @pytest.mark.parametrize("kind", [PRICE, REPARAM])
+    @pytest.mark.parametrize("logistic", [False, True], ids=["quadratic", "logistic"])
+    def test_run_batch_evaluates_once_per_iteration(self, quad, state, algorithm, kind, logistic):
+        inner = quad
+        if logistic:
+            rng = np.random.default_rng(4)
+            inner = LogisticRidgePotential(
+                rng.standard_normal((12, 5)), rng.integers(0, 2, 12).astype(float), ridge=0.5
+            )
+        target = CountingPotential(inner)
+        config = OptimizerConfig(algorithm=algorithm, estimator=kind, max_iters=6)
+        traces = run_batch(config, target, state, [(constant_schedule(0.01), s, 0) for s in range(3)])
+        assert [len(t.records) for t in traces] == [7, 7, 7]  # 7 iterates, none diverged
+        assert target.oracle_calls() == target.calls["evaluate"] == 7
+        assert target.calls["evaluate with hessian"] == (7 if kind is PRICE else 0)

@@ -7,6 +7,7 @@ from bwvi.errors import DimensionMismatch, IndefiniteMatrix, NotPositiveDefinite
 from bwvi.geometry import (
     AffineMap,
     GaussianVariational,
+    _sqrt_symmetric,
     cholesky_factor,
     entropy,
     matrix_sqrt_psd,
@@ -110,6 +111,26 @@ class TestMatrixSqrt:
         # eigh returns garbage rather than failing on some such inputs
         with pytest.raises(NotPositiveDefinite):
             matrix_sqrt_psd(np.array([[bad, 1.0], [1.0, 2.0]]))
+
+
+class TestSymmetricRootKernel:
+    def test_bitwise_equal_to_public_root(self):
+        rng = np.random.default_rng(11)
+        for dim in (1, 3, 5):
+            single = random_spd(rng, dim)
+            stack = np.stack([random_spd(rng, dim) for _ in range(4)])
+            for a in (single, stack, np.diag(np.r_[1.0, np.zeros(dim - 1)])):
+                a = 0.5 * (a + a.swapaxes(-1, -2))
+                assert _sqrt_symmetric(a).tobytes() == matrix_sqrt_psd(a).tobytes()
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(IndefiniteMatrix):
+            _sqrt_symmetric(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotPositiveDefinite):
+            _sqrt_symmetric(np.array([[bad, 1.0], [1.0, 2.0]]))
 
 
 class TestW2:

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from importlib.resources import files
 
@@ -183,6 +184,19 @@ def test_run_on_any_field_value_exits_0_2_or_3(tmp_path, target, schedule, path,
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("field, value, code", [("mean", 1e300, 0), ("variance", 1.7e308, 2)])
+def test_overflowing_initial_distance_warns_nothing(tmp_path, field, value, code):
+    # The theorem schedule's initial W2 overflows for these; it is handled
+    # where it arises, without a RuntimeWarning.
+    raw = quadratic_config(**QUADRATIC_THEOREM, iterations=3)
+    raw["init"][field] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == code
 
 
 class TestRunCommand:

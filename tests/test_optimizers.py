@@ -46,22 +46,10 @@ class ZeroPotential:
     def dim(self):
         return self.metadata.dim
 
-    def value(self, x):
-        x = np.asarray(x)
-        return np.zeros(x.shape[:-1])
-
-    def grad(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def hessian(self, x):
-        x = np.asarray(x)
-        return np.zeros(x.shape[:-1] + (self.dim, self.dim))
-
-    def hessian_mean(self, points):
-        return np.zeros((self.dim, self.dim))
-
-    def hessian_apply(self, points, vectors):
-        return np.zeros_like(np.asarray(vectors, dtype=float))
+    def evaluate(self, z, hessian):
+        z = np.asarray(z, dtype=float)
+        zero_hessian = np.zeros(z.shape[:-2] + (self.dim, self.dim)) if hessian else None
+        return np.zeros(z.shape[:-1]), np.zeros_like(z), zero_hessian
 
 
 class TestEntropyProx:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from bwvi.optimizers import spbwgd_step
 from bwvi.targets import (
     LogisticRidgePotential,
     QuadraticPotential,
+    _sigmoid,
     load_logistic_dataset,
     quadratic_optimum,
     random_quadratic,
@@ -123,6 +126,67 @@ class TestLogisticRidge:
             np.einsum("kij,kj->ki", t.hessian(pts), vecs),
             atol=1e-14,
         )
+
+
+def where_sigmoid(t):
+    """The sigmoid as two ``np.where`` branches on ``e = exp(-|t|)``."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("shape", [(8, 3), (4, 8, 3)], ids=["draws", "chains"])
+    def test_equals_separate_oracles(self, kind, shape):
+        rng = np.random.default_rng(9)
+        if kind == "quadratic":
+            target = random_quadratic(3, 20.0, seed=2)
+        else:
+            labels = rng.integers(0, 2, 30).astype(float)
+            target = LogisticRidgePotential(rng.standard_normal((30, 3)), labels, ridge=0.3)
+        z = 3.0 * rng.standard_normal(shape)
+        values, grads, mean_hess = target.evaluate(z, True)
+        np.testing.assert_allclose(values, target.value(z), rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(grads, target.grad(z))
+        np.testing.assert_array_equal(mean_hess, target.hessian_mean(z))
+        assert target.evaluate(z, False)[2] is None
+        np.testing.assert_array_equal(target.evaluate(z, False)[1], grads)
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_where_form(self):
+        rng = np.random.default_rng(1)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 800.0, -800.0]
+        t = np.concatenate([special, 50.0 * rng.standard_normal(4000), rng.standard_normal(4000)])
+        got = _sigmoid(t, np.exp(-np.abs(t)))
+        assert got.tobytes() == where_sigmoid(t).tobytes()
+
+    def test_gradient_and_hessian_weights_use_it(self):
+        t = toy_logistic()
+        x = np.array([[0.3, -0.7], [2.0, 1.5]])
+        s = where_sigmoid(x @ t.design.T)
+        np.testing.assert_array_equal(t.grad(x), (s - t.labels) @ t.design + t.ridge * x)
+        w = (s * (1.0 - s)).mean(axis=0)
+        expected = 0.5 * (t.design.T @ (w[:, None] * t.design))
+        expected = expected + expected.T + t.ridge * np.eye(2)
+        np.testing.assert_array_equal(t.hessian_mean(x), expected)
+
+
+class TestLogisticValueAccuracy:
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_extreme_logits_against_scalar_reference(self, label):
+        logits = [1e3, -1e3, 40.0, -40.0, 0.0, 1e-300, -1e-300]
+        design = np.array(logits)[:, None]
+        target = LogisticRidgePotential(design, np.full(len(logits), label), ridge=0.5)
+        for x in (1.0, -1.0):
+            terms = [
+                max(t, 0.0) + math.log1p(math.exp(-abs(t))) - label * t
+                for t in (x * v for v in logits)
+            ]
+            reference = math.fsum(terms) + 0.25 * x * x
+            value = float(target.value(np.array([x])))
+            assert abs(value - reference) <= 1e-15 * abs(reference)
+            assert float(target.evaluate(np.array([[x]]), False)[0][0]) == value
 
 
 class TestDerivativeOracles:
