@@ -33,7 +33,6 @@ from .estimators import (
     param_gradient,
 )
 from .geometry import (
-    AffineMap,
     GaussianVariational,
     cholesky_factor,
     entropy,

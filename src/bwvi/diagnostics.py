@@ -5,10 +5,13 @@ is ever estimated by Monte Carlo; the entropy is always evaluated in
 closed form, which removes avoidable variance from every diagnostic.
 
 For quadratic targets everything else is exact as well: the minimizer,
-the energy's Bregman divergence between measures, and the gradient fields
-entering the estimator-variance probes.  The probes realize the optimal
-coupling through the exact transport map, matching the coupling under
-which the variance bounds are stated.
+the energy's Bregman divergence between measures, and the reference
+gradients of the estimator-variance probes.  The probes measure the
+optimizers' own estimators (``estimators``), one single-draw estimate per
+Monte Carlo draw, against the exact estimator at the optimum; in the
+Bures-Wasserstein geometry they realize the optimal coupling through the
+exact transport map, the coupling under which the variance bounds are
+stated.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters
-from .estimators import EstimatorKind, stein_weights
+from .estimators import EstimatorKind, _bw_gradient, _param_gradient
 from .geometry import (
     GaussianVariational,
     _displacement,
@@ -143,82 +146,12 @@ def bregman_energy_quadratic(
     return max(0.0, 0.5 * float(np.sum(target.precision * v)))
 
 
-def _bw_second_moment_values(
-    kind: EstimatorKind,
-    q: GaussianVariational,
-    q_star: GaussianVariational,
-    target: QuadraticPotential,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Squared deviations of the Bures-Wasserstein gradient field.
-
-    Each draw evaluates the estimated field at ``X ~ q`` against the exact
-    field at the optimally coupled ``X_*``; the estimator noise ``eps`` is
-    independent of the evaluation point.
-    """
-    d = q.dim
-    transport = optimal_transport_map(q, q_star)
-    x = sample(q, rng.standard_normal((n, d)))
-    x_star = transport(x)
-    centered = x - q.mean
-    # Exact field at the optimum: E grad U = 0 there, so only A (x - m_*).
-    ref = (x_star - q_star.mean) @ target.precision
-
-    if kind is EstimatorKind.EXACT:
-        loc, mean_hess = target.exact_gradients(q)
-        est = loc + centered @ mean_hess
-    else:
-        eps = rng.standard_normal((n, d))
-        z = sample(q, eps)
-        g = np.asarray(target.grad(z))
-        if kind is EstimatorKind.BONNET_PRICE:
-            est = g + target.hessian_apply(z, centered)
-        else:
-            # 2 * (1/2) C^{-T} eps g' applied to (x - m): C^{-T} eps <g, x - m>.
-            est = g + stein_weights(q, eps) * np.sum(g * centered, axis=1)[:, None]
-    diff = est - ref
-    return np.sum(diff * diff, axis=1)
-
-
-def _tril_flat(mats: np.ndarray) -> np.ndarray:
-    idx = np.tril_indices(mats.shape[-1])
-    return mats[..., idx[0], idx[1]]
-
-
-def _param_second_moment_values(
-    kind: EstimatorKind,
-    q: GaussianVariational,
-    q_star: GaussianVariational,
-    target: QuadraticPotential,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Squared deviations of the parameter gradient from its value at the
-    optimum, with the scale block projected to the triangular subspace."""
-    d = q.dim
-    n_tril = d * (d + 1) // 2
-    loc_ref = target.precision @ (q_star.mean - target.center)
-    scale_ref = _tril_flat(np.tril(target.precision @ q_star.scale))
-
-    if kind is EstimatorKind.EXACT:
-        loc, mean_hess = target.exact_gradients(q)
-        loc_est = np.broadcast_to(loc, (n, d))
-        scale_est = np.broadcast_to(_tril_flat(np.tril(mean_hess @ q.scale)), (n, n_tril))
-    else:
-        eps = rng.standard_normal((n, d))
-        g = np.asarray(target.grad(sample(q, eps)))
-        loc_est = g
-        if kind is EstimatorKind.BONNET_PRICE:
-            # Constant Hessian: each draw's scale gradient is tril(A C).
-            scale_est = np.broadcast_to(
-                _tril_flat(np.tril(target.precision @ q.scale)), (n, n_tril)
-            )
-        else:
-            scale_est = _tril_flat(np.tril(g[:, :, None] * eps[:, None, :]))
-    loc_diff = loc_est - loc_ref
-    scale_diff = scale_est - scale_ref
-    return np.sum(loc_diff * loc_diff, axis=1) + np.sum(scale_diff * scale_diff, axis=1)
+def _bw_field(gradient: tuple[np.ndarray, np.ndarray], centered: np.ndarray) -> np.ndarray:
+    """The Bures-Wasserstein gradient field ``loc + 2 S (x - m)`` of a
+    ``(location_grad, covariance_grad)`` pair at ``centered = x - m``, one
+    row per point (the pair shared or one per point)."""
+    loc, cov_grad = gradient
+    return loc + 2.0 * np.einsum("...ij,...j->...i", cov_grad, centered, optimize=True)
 
 
 def estimator_second_moment(
@@ -234,9 +167,13 @@ def estimator_second_moment(
 
     For ``geometry="bw"`` this is
     ``E || ghat_BW(q; eps)(X) - g_BW(q_*)(X_*) ||^2`` under the optimal
-    coupling of ``(X, X_*)``; for ``geometry="param"`` it is
-    ``E || ghat_lambda(q; eps) - g_lambda(q_*) ||^2``.  Quadratic targets
-    only (the reference gradients use the closed-form optimum).
+    coupling of ``(X, X_*)``, with the estimator noise ``eps`` independent
+    of ``X``; for ``geometry="param"`` it is
+    ``E || ghat_lambda(q; eps) - g_lambda(q_*) ||^2`` with the scale block
+    in the triangular subspace.  Each of the ``n`` draws of ``eps`` is one
+    single-draw estimate of the optimizers' own estimator (one
+    ``target.evaluate`` call serves all of them), and the reference is the
+    exact estimator at ``q_star``.  Quadratic targets only.
     """
     kind = EstimatorKind(estimator)
     if n < 1:
@@ -245,11 +182,25 @@ def estimator_second_moment(
         raise InvalidParameters("second-moment probes require a quadratic target")
     if q.dim != q_star.dim or q.dim != target.dim:
         raise DimensionMismatch("q, q_star and target must share one dimension")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
-    if geometry == "bw":
-        values = _bw_second_moment_values(kind, q, q_star, target, n, rng)
-    elif geometry == "param":
-        values = _param_second_moment_values(kind, q, q_star, target, n, rng)
-    else:
+    if geometry not in ("bw", "param"):
         raise InvalidParameters(f"geometry must be 'bw' or 'param', got {geometry!r}")
-    return float(values.mean())
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
+    gradient = _bw_gradient if geometry == "bw" else _param_gradient
+    if geometry == "bw":
+        linear, shift = optimal_transport_map(q, q_star)
+        x = sample(q, rng.standard_normal((n, q.dim)))
+        x_star = x @ linear.T + shift
+    eps = evaluation = None
+    if kind is not EstimatorKind.EXACT:
+        eps = rng.standard_normal((n, q.dim))
+        u, g, mean_hess = target.evaluate(sample(q, eps), kind is EstimatorKind.BONNET_PRICE)
+        eps, evaluation = eps[:, None], (u[:, None], g[:, None], mean_hess)
+    estimate = gradient(kind, target, q, eps, evaluation)
+    reference = gradient(EstimatorKind.EXACT, target, q_star, None)
+    if geometry == "bw":
+        diff = _bw_field(estimate, x - q.mean) - _bw_field(reference, x_star - q_star.mean)
+        values = np.sum(diff * diff, axis=-1)
+    else:
+        loc_diff, scale_diff = estimate[0] - reference[0], estimate[1] - reference[1]
+        values = np.sum(loc_diff**2, axis=-1) + np.sum(scale_diff**2, axis=(-2, -1))
+    return float(np.broadcast_to(values, (n,)).mean())

@@ -83,8 +83,9 @@ def _noise_generator(seed: int, stream: int, iteration: int) -> np.random.Genera
 
 def stein_weights(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
     """Stein weights ``Sigma^{-1} (Z_k - m) = C^{-T} eps_k``, one row per draw
-    (solved chain by chain for a stack of states) by LAPACK ``trtrs``;
-    ``LinAlgError`` for a zero diagonal entry."""
+    (one solve for a single state and noise of any shape ``(..., d)``; chain
+    by chain for a stack of states) by LAPACK ``trtrs``; ``LinAlgError`` for
+    a zero diagonal entry."""
 
     def solve(scale, noise):  # C' x = eps', shape (d, M), as scipy's solve_triangular calls it
         x, info = dtrtrs(scale.T, noise.T, lower=0, trans=0)
@@ -92,8 +93,8 @@ def stein_weights(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
             raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
         return x
 
-    if eps.ndim == 2:
-        return solve(q.scale, eps).T
+    if q.scale.ndim == 2:
+        return solve(q.scale, eps.reshape(-1, q.dim)).T.reshape(eps.shape)
     return _t(np.stack([solve(scale, noise) for scale, noise in zip(q.scale, eps)]))
 
 

@@ -33,7 +33,6 @@ from .errors import (
 
 __all__ = [
     "GaussianVariational",
-    "AffineMap",
     "cholesky_factor",
     "matrix_sqrt_psd",
     "w2_distance_sq",
@@ -152,40 +151,6 @@ class _Chains(NamedTuple):
     sigma = GaussianVariational.sigma
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine map ``x -> linear @ x + shift``.
-
-    Optimal transport maps between nondegenerate Gaussians have a symmetric
-    positive definite ``linear`` part; tangent-space elements and stochastic
-    gradient fields only need ``linear`` symmetric.
-    """
-
-    linear: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        linear = _frozen_array(self.linear)
-        shift = _frozen_array(self.shift)
-        if shift.ndim != 1 or linear.shape != (shift.shape[0], shift.shape[0]):
-            raise DimensionMismatch(
-                f"incompatible map shapes {linear.shape} and {shift.shape}"
-            )
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "shift", shift)
-
-    @property
-    def dim(self) -> int:
-        return self.shift.shape[0]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Apply the map to a point ``(d,)`` or a batch ``(..., d)``."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DimensionMismatch(f"point dimension {x.shape[-1]} != map dimension {self.dim}")
-        return x @ self.linear.T + self.shift
-
-
 def cholesky_factor(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular ``C`` with ``C @ C.T = sigma`` and positive diagonal.
 
@@ -293,16 +258,19 @@ def w2_distance_sq(p: GaussianVariational, q: GaussianVariational) -> float:
     return float(_coupling_cost(p, _sqrt_and_inv_sqrt(p.sigma), q))
 
 
-def optimal_transport_map(p: GaussianVariational, q: GaussianVariational) -> AffineMap:
+def optimal_transport_map(
+    p: GaussianVariational, q: GaussianVariational
+) -> tuple[np.ndarray, np.ndarray]:
     """Optimal transport map pushing p forward to q.
 
-    Returns the affine map ``x -> S (x - m_p) + m_q`` (stored in the
-    ``linear @ x + shift`` form) with ``S`` symmetric positive definite.
+    Returns ``(S, shift)``: the map is ``x -> S (x - m_p) + m_q = S x + shift``
+    (``x @ S.T + shift`` for points in rows), with ``S`` symmetric positive
+    definite.
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
     s = _transport_linear(_sqrt_and_inv_sqrt(p.sigma), q)
-    return AffineMap(linear=s, shift=q.mean - s @ p.mean)
+    return s, q.mean - s @ p.mean
 
 
 def entropy(q: GaussianVariational) -> float:

@@ -66,10 +66,9 @@ class Potential:
     """Base class for twice-differentiable strongly log-concave targets.
 
     Subclasses set ``metadata`` and implement ``value``, ``grad``,
-    ``hessian`` (dense, per point), ``evaluate``, ``hessian_mean`` (the
+    ``hessian`` (dense, per point), ``evaluate`` and ``hessian_mean`` (the
     average Hessian over the draw axis: ``(d, d)`` for ``(M, d)`` points,
-    one per chain for ``(B, M, d)``) and ``hessian_apply`` (row-wise
-    products ``hess U(points[k]) @ vectors[k]``).
+    one per chain for ``(B, M, d)``).
     """
 
     metadata: PotentialMetadata
@@ -156,9 +155,6 @@ class QuadraticPotential(Potential):
 
     def hessian_mean(self, points):
         return self.precision.copy()
-
-    def hessian_apply(self, points, vectors):
-        return np.atleast_2d(np.asarray(vectors, dtype=float)) @ self.precision
 
     def exact_gradients(self, q: GaussianVariational) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form ``(E_q[grad U], E_q[hess U])`` for exact-gradient runs
@@ -271,14 +267,6 @@ class LogisticRidgePotential(Potential):
 
     def hessian_mean(self, points):
         return self.evaluate(np.atleast_2d(points), True)[2]
-
-    def hessian_apply(self, points, vectors):
-        points = np.atleast_2d(self._check_point(points))
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-        s = _sigmoid(*self._logits(points))
-        w = s * (1.0 - s)
-        proj = vectors @ self.design.T
-        return (w * proj) @ self.design + self.ridge * vectors
 
 
 def load_logistic_dataset(path) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -100,10 +101,10 @@ class TestBregmanEnergy:
         target = random_quadratic(3, 7.0, seed=6)
         q_star = quadratic_optimum(target)
         q = random_state(rng, 3, mean_scale=1.5)
-        transport = optimal_transport_map(q, q_star)
+        linear, shift = optimal_transport_map(q, q_star)
         n = 1_000_000
         x = sample(q, rng.standard_normal((n, 3)))
-        x_star = transport(x)
+        x_star = x @ linear.T + shift
         diff = x - x_star
         d_u = (
             target.value(x) - target.value(x_star)
@@ -134,7 +135,7 @@ class TestBregmanEnergy:
             meta = target.metadata
             q_star = quadratic_optimum(target)
             q = random_state(rng, dim, mean_scale=1.5)
-            s = optimal_transport_map(q, q_star).linear
+            s, _ = optimal_transport_map(q, q_star)
             residual = np.eye(dim) - s
             dm = q.mean - q_star.mean
             lhs = float(dm @ target.precision @ dm) + float(
@@ -145,7 +146,74 @@ class TestBregmanEnergy:
             assert lhs >= rhs - 1e-8
 
 
+def closed_form_second_moment(kind, geometry, q, q_star, target, n, seed):
+    """``estimator_second_moment`` written out draw by draw from the closed
+    forms of the quadratic target's estimators, on the probe's own stream."""
+    a, b, c = target.precision, target.center, q.scale
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
+    if geometry == "bw":
+        linear, shift = optimal_transport_map(q, q_star)
+        x = sample(q, rng.standard_normal((n, q.dim)))
+        centered = x - q.mean
+    if kind is EstimatorKind.EXACT:
+        loc = np.broadcast_to(a @ (q.mean - b), (n, q.dim))
+    else:
+        eps = rng.standard_normal((n, q.dim))
+        loc = (sample(q, eps) - b) @ a  # one single-draw gradient per row
+    if geometry == "bw":
+        if kind is EstimatorKind.BONNET_REPARAM:
+            weights = np.linalg.solve(c.T, eps.T).T  # C^{-T} eps
+            est = loc + weights * np.sum(loc * centered, axis=1)[:, None]
+        else:
+            est = loc + centered @ a
+        ref = (x @ linear.T + shift - q_star.mean) @ a
+        return np.mean(np.sum((est - ref) ** 2, axis=1))
+    if kind is EstimatorKind.BONNET_REPARAM:
+        scale = np.tril(loc[:, :, None] * eps[:, None, :])
+    else:
+        scale = np.broadcast_to(np.tril(a @ c), (n, q.dim, q.dim))
+    scale_ref = np.tril(a @ q_star.scale)
+    return np.mean(np.sum(loc**2, axis=1) + np.sum((scale - scale_ref) ** 2, axis=(1, 2)))
+
+
+class CountingQuadratic(QuadraticPotential):
+    """Quadratic that counts its ``evaluate`` and ``grad`` calls."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", Counter())
+
+    def evaluate(self, z, hessian):
+        self.calls["evaluate"] += 1
+        return super().evaluate(z, hessian)
+
+    def grad(self, x):
+        self.calls["grad"] += 1
+        return super().grad(x)
+
+
 class TestSecondMoment:
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("geometry", ["bw", "param"])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_matches_per_draw_closed_forms(self, kind, geometry, dim):
+        target = random_quadratic(dim, 4.0, seed=11 + dim)
+        q_star = quadratic_optimum(target)
+        q = random_state(np.random.default_rng(dim), dim, mean_scale=1.5)
+        got = estimator_second_moment(kind, geometry, q, q_star, target, n=3000, seed=4)
+        want = closed_form_second_moment(kind, geometry, q, q_star, target, 3000, 4)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("geometry", ["bw", "param"])
+    def test_one_evaluation_per_probe(self, kind, geometry):
+        quad = random_quadratic(3, 4.0, seed=12)
+        target = CountingQuadratic(quad.precision, quad.center)
+        q = random_state(np.random.default_rng(5), 3)
+        estimator_second_moment(kind, geometry, q, quadratic_optimum(quad), target, n=50)
+        stochastic = kind is not EstimatorKind.EXACT
+        assert target.calls == Counter(evaluate=1 if stochastic else 0)
+
     def test_zero_for_exact_gradients_at_optimum(self):
         target = random_quadratic(3, 4.0, seed=8)
         q_star = quadratic_optimum(target)

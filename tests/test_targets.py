@@ -119,13 +119,7 @@ class TestLogisticRidge:
     def test_hessian_helpers_consistent(self, rng):
         t = toy_logistic()
         pts = rng.standard_normal((8, 2))
-        vecs = rng.standard_normal((8, 2))
         np.testing.assert_allclose(t.hessian_mean(pts), t.hessian(pts).mean(axis=0), atol=1e-14)
-        np.testing.assert_allclose(
-            t.hessian_apply(pts, vecs),
-            np.einsum("kij,kj->ki", t.hessian(pts), vecs),
-            atol=1e-14,
-        )
 
 
 def where_sigmoid(t):
