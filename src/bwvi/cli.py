@@ -8,7 +8,7 @@ Subcommands:
   log-spaced step-size grid with both algorithms, both stochastic
   estimators, and R repetitions; write a summary CSV.
 - ``bwvi verify --level quick|full``: run the verification suite and
-  print one pass/fail line per check.
+  print one pass/fail line per check as soon as it completes.
 
 Exit codes: 0 success, 1 failed verification check, 2 config error
 (including sizes that do not fit in memory), 3 I/O error.  The
@@ -113,13 +113,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_workers(args.workers)
-    results = run_suite(args.level, workers=args.workers)
-    failed = 0
-    for res in results:
+    total = failed = 0
+    for res in run_suite(args.level, workers=args.workers):
         status = "PASS" if res.passed else "FAIL"
+        total += 1
         failed += not res.passed
-        print(f"{status} {res.name} [{res.seconds:.1f}s] {res.detail}")
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+        print(f"{status} {res.name} [{res.seconds:.1f}s] {res.detail}", flush=True)
+    print(f"{total - failed}/{total} checks passed")
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 

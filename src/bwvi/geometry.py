@@ -210,17 +210,17 @@ _Roots = tuple[np.ndarray, np.ndarray]
 
 
 def _sqrt_and_inv_sqrt(sigma: np.ndarray) -> _Roots:
-    """Symmetric square root of an SPD matrix and its inverse."""
+    """Symmetric square root of an SPD matrix (or of each in a stack) and its inverse."""
     w, v = np.linalg.eigh(symmetrize(sigma))
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite(f"eigenvalue {w[0]:.3e} is not positive")
-    sw = np.sqrt(w)
-    return (v * sw) @ v.T, (v / sw) @ v.T
+    if (w[..., 0] <= 0.0).any():
+        raise NotPositiveDefinite(f"eigenvalue {w[..., 0].min():.3e} is not positive")
+    sw = np.sqrt(w)[..., None, :]
+    return (v * sw) @ _t(v), (v / sw) @ _t(v)
 
 
 def _transport_linear(p_roots: _Roots, q: GaussianVariational) -> np.ndarray:
-    """Symmetric PD linear part of the optimal transport map from p to q (or
-    each chain of q), given ``p_roots = _sqrt_and_inv_sqrt(p.sigma)``."""
+    """Symmetric PD linear part of the optimal transport map from p to q (either
+    or both a stack), given ``p_roots = _sqrt_and_inv_sqrt(p.sigma)``."""
     root, inv_root = p_roots
     inner = _sqrt_symmetric(symmetrize(root @ q.sigma @ root))
     return symmetrize(inv_root @ inner @ inv_root)
@@ -243,6 +243,11 @@ def _coupling_cost(p: GaussianVariational, p_roots: _Roots, q: GaussianVariation
     return dm_sq + (residual * residual).sum(axis=(-2, -1))
 
 
+def _w2_sq(p: GaussianVariational, q: GaussianVariational):
+    """Squared W2 distance from p to q, or one per chain if either is a stack."""
+    return _coupling_cost(p, _sqrt_and_inv_sqrt(p.sigma), q)
+
+
 def w2_distance_sq(p: GaussianVariational, q: GaussianVariational) -> float:
     """Squared Wasserstein-2 distance between two Gaussians.
 
@@ -255,7 +260,7 @@ def w2_distance_sq(p: GaussianVariational, q: GaussianVariational) -> float:
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return float(_coupling_cost(p, _sqrt_and_inv_sqrt(p.sigma), q))
+    return float(_w2_sq(p, q))
 
 
 def optimal_transport_map(

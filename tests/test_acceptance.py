@@ -76,7 +76,7 @@ def test_criterion_10_geometry_oracles():
 def test_quick_suite_budget():
     # the CLI's quick verification level must finish in under a minute
     start = time.perf_counter()
-    results = run_suite("quick")
+    results = list(run_suite("quick"))
     elapsed = time.perf_counter() - start
     for res in results:
         assert res.passed, f"{res.name}: {res.detail}"

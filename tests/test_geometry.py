@@ -6,7 +6,10 @@ import pytest
 from bwvi.errors import DimensionMismatch, IndefiniteMatrix, NotPositiveDefinite, NotSymmetric
 from bwvi.geometry import (
     GaussianVariational,
+    _Chains,
+    _sqrt_and_inv_sqrt,
     _sqrt_symmetric,
+    _w2_sq,
     cholesky_factor,
     entropy,
     matrix_sqrt_psd,
@@ -173,6 +176,38 @@ class TestW2:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             w2_distance_sq(GaussianVariational.isotropic(2), GaussianVariational.isotropic(3))
+
+
+def stack(states) -> _Chains:
+    return _Chains(np.stack([q.mean for q in states]), np.stack([q.scale for q in states]))
+
+
+class TestStackedW2:
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_bitwise_equal_to_single_pairs(self, dim):
+        rng = np.random.default_rng(dim)
+        ps = [random_state(rng, dim) for _ in range(6)]
+        qs = [random_state(rng, dim) for _ in range(6)]
+        q_star = random_state(rng, dim)
+        roots = _sqrt_and_inv_sqrt(stack(ps).sigma)
+        for k, p in enumerate(ps):
+            for stacked, single in zip(roots, _sqrt_and_inv_sqrt(p.sigma)):
+                assert stacked[k].tobytes() == single.tobytes()
+
+        def bits(values):
+            return np.asarray(values, dtype=float).tobytes()
+
+        # stack against stack, and a stack against one state on either side
+        pairwise = [w2_distance_sq(p, q) for p, q in zip(ps, qs)]
+        assert bits(_w2_sq(stack(ps), stack(qs))) == bits(pairwise)
+        assert bits(_w2_sq(stack(ps), q_star)) == bits([w2_distance_sq(p, q_star) for p in ps])
+        assert bits(_w2_sq(q_star, stack(ps))) == bits([w2_distance_sq(q_star, p) for p in ps])
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_one_non_pd_matrix_in_a_stack_raises(self, bad):
+        sigma = np.stack([np.eye(3), np.diag([1.0, bad, 2.0]), np.eye(3)])
+        with pytest.raises(NotPositiveDefinite):
+            _sqrt_and_inv_sqrt(sigma)
 
 
 class TestTransportMap:

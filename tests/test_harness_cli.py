@@ -354,6 +354,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS stub-pass" in out and "FAIL stub-fail" in out
 
+    def test_prints_each_line_as_its_check_completes(self, monkeypatch, capsys):
+        def second(**kw):
+            assert "PASS stub-first" in capsys.readouterr().out
+            return CheckResult("stub-second", True, "ok", 0.0)
+
+        monkeypatch.setattr(bwvi.checks, "QUICK", (
+            ("s", lambda **kw: CheckResult("stub-first", True, "ok", 0.0)), ("t", second),
+        ))
+        assert cli.main(["verify", "--level", "quick"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS stub-second [0.0s] ok", "2/2 checks passed",
+        ]
+
     def test_mutated_prox_formula_fails_fixed_points(self, monkeypatch):
         # deliberately corrupt the prox diagonal (drop the square on C_ii);
         # the fixed-point identity must catch it
