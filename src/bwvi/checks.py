@@ -36,6 +36,7 @@ from .estimators import (
     EstimatorKind,
     _bw_gradient,
     _param_gradient,
+    _stein_covariance,
     draw_noise,
     param_gradient,
     stein_weights,
@@ -158,7 +159,6 @@ def check_estimator_unbiasedness(n_samples: int = 1_000_000) -> CheckResult:
     loc_mean, ps_mean = _param_gradient(EstimatorKind.BONNET_PRICE, target, q, e, evaluation)
     _, pc_mean = _bw_gradient(EstimatorKind.BONNET_PRICE, target, q, e, evaluation)
     _, rs_mean = _param_gradient(EstimatorKind.BONNET_REPARAM, target, q, e, evaluation)
-    _, rc_mean = _bw_gradient(EstimatorKind.BONNET_REPARAM, target, q, e, evaluation)
     margins = []
 
     loc_target = a @ (m - b)
@@ -174,11 +174,14 @@ def check_estimator_unbiasedness(n_samples: int = 1_000_000) -> CheckResult:
         np.max(np.tril(np.abs(rs_mean - np.tril(a @ c)) / np.maximum(5.0 * rs_se, 1e-300)))
     )
 
+    # one Stein solve gives the reparam covariance mean and the loop's weights;
     # the loop reads contiguous rows, not strided columns; the (n, d) originals
     # are released before the copies are made, so that the peak does not rise
     del evaluation
+    w = stein_weights(q, e)
+    rc_mean = _stein_covariance(w, g)
     g = np.ascontiguousarray(g.T)
-    w = np.ascontiguousarray(stein_weights(q, e).T)
+    w = np.ascontiguousarray(w.T)
     rc_sym = symmetrize(rc_mean)
     # per-entry deviations of the symmetrized mean from A/2 in SE units
     sym_margin = 0.0

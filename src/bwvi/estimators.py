@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, InvalidParameters
 from .geometry import GaussianVariational, _t, _tril, sample, symmetrize
@@ -83,19 +82,18 @@ def _noise_generator(seed: int, stream: int, iteration: int) -> np.random.Genera
 
 def stein_weights(q: GaussianVariational, eps: np.ndarray) -> np.ndarray:
     """Stein weights ``Sigma^{-1} (Z_k - m) = C^{-T} eps_k``, one row per draw
-    (one solve for a single state and noise of any shape ``(..., d)``; chain
-    by chain for a stack of states) by LAPACK ``trtrs``; ``LinAlgError`` for
-    a zero diagonal entry."""
+    (all draws of a single state, with noise of any shape ``(..., d)``, in
+    one solve; a stack of states in one stacked solve); ``LinAlgError`` for
+    a zero diagonal entry.
 
-    def solve(scale, noise):  # C' x = eps', shape (d, M), as scipy's solve_triangular calls it
-        x, info = dtrtrs(scale.T, noise.T, lower=0, trans=0)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
-        return x
-
-    if q.scale.ndim == 2:
-        return solve(q.scale, eps.reshape(-1, q.dim)).T.reshape(eps.shape)
-    return _t(np.stack([solve(scale, noise) for scale, noise in zip(q.scale, eps)]))
+    LU with partial pivoting never pivots on the upper-triangular ``C'`` and
+    its multipliers are exactly 0, so ``np.linalg.solve`` gives bitwise the
+    rows of a triangular solve (LAPACK ``trtrs``).
+    """
+    noise = eps.reshape(-1, q.dim) if q.scale.ndim == 2 else eps
+    # C-ordered rows, the layout of trtrs' result: the product in
+    # ``_stein_covariance`` rounds differently on other layouts
+    return np.ascontiguousarray(_t(np.linalg.solve(_t(q.scale), _t(noise)))).reshape(eps.shape)
 
 
 def _oracle(
@@ -169,4 +167,10 @@ def _bw_gradient(kind, target, q, eps, evaluation=None):
     loc, mean_hess, g = _oracle(kind, target, q, eps, evaluation)
     if g is None:
         return loc, symmetrize(0.5 * mean_hess)
-    return loc, 0.5 * (_t(stein_weights(q, eps)) @ g) / eps.shape[-2]
+    return loc, _stein_covariance(stein_weights(q, eps), g)
+
+
+def _stein_covariance(w, g):
+    """``(1/2) mean_k w_k g_k'`` from Stein weights ``w`` and gradients ``g``
+    of shape ``(..., M, d)``: the first-order covariance gradient."""
+    return 0.5 * (_t(w) @ g) / w.shape[-2]

@@ -229,19 +229,66 @@ class TestReparamEstimators:
         assert np.max(np.abs(est - 0.5 * inv_sigma)) <= 0.1
 
 
+def spread_scale(rng, dim):
+    """A lower-triangular scale whose diagonal spans 1e-6 to 1e3, with each
+    row's off-diagonal entries scaled by its diagonal entry, so that the
+    weights stay finite at every size."""
+    diag = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), dim))
+    diag[rng.permutation(dim)[:2]] = [1e-6, 1e3][: dim]
+    unit = np.eye(dim) + np.tril(rng.standard_normal((dim, dim)), -1) / math.sqrt(dim)
+    return diag[:, None] * unit
+
+
+def reference_weights(scale, noise):
+    """The Stein weights by scipy's triangular solve, rows C-ordered."""
+    return solve_triangular(scale, noise.T, lower=True, trans="T", check_finite=False).T
+
+
 class TestSteinWeights:
+    @pytest.mark.parametrize("m", [1, 8, 100_000])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 10, 50])
+    def test_bitwise_equal_to_triangular_solve_across_sizes(self, dim, m):
+        rng = np.random.default_rng(1000 * dim + m)
+        chains = 2 if m == 100_000 else 13
+        scales = np.stack([spread_scale(rng, dim) for _ in range(chains)])
+        eps = rng.standard_normal((chains, m, dim))
+        expected = np.stack([reference_weights(c, e) for c, e in zip(scales, eps)])
+        got = stein_weights(_Chains(np.zeros((chains, dim)), scales), eps)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        for scale, noise, rows in zip(scales, eps, expected):
+            single = stein_weights(_Chains(np.zeros(dim), scale), noise)
+            assert single.flags.c_contiguous
+            assert single.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("chains", [None, 3])
+    def test_bw_gradient_bitwise_equal_to_triangular_solve_formula(self, chains):
+        # the reparam covariance estimator written out on scipy's
+        # solve_triangular; at d = 50, M = 64 the product rounds by layout
+        rng = np.random.default_rng(25)
+        target = random_quadratic(50, 4.0, seed=26)
+        states = [random_state(rng, 50) for _ in range(chains or 1)]
+        eps = rng.standard_normal((len(states), 64, 50))
+        expected = []
+        for q, e in zip(states, eps):
+            g = target.evaluate(sample(q, e), False)[1]
+            w = reference_weights(q.scale, e)
+            expected.append(0.5 * (w.T @ g) / 64)
+        if chains is None:
+            q, e, expected = states[0], eps[0], expected[0]
+        else:
+            q = _Chains(np.stack([s.mean for s in states]), np.stack([s.scale for s in states]))
+            e, expected = eps, np.stack(expected)
+        assert bw_gradient(REPARAM, target, q, e)[1].tobytes() == expected.tobytes()
+
     def test_bitwise_equal_to_solve_triangular(self):
         rng = np.random.default_rng(21)
         states = [random_state(rng, 5) for _ in range(3)]
         eps = rng.standard_normal((3, 8, 5))
-
-        def reference(scale, noise):
-            return solve_triangular(scale, noise.T, lower=True, trans="T", check_finite=False).T
-
         got = stein_weights(states[0], eps[0])
-        assert got.tobytes() == reference(states[0].scale, eps[0]).tobytes()
+        assert got.tobytes() == reference_weights(states[0].scale, eps[0]).tobytes()
         stack = _Chains(np.stack([q.mean for q in states]), np.stack([q.scale for q in states]))
-        expected = np.stack([reference(q.scale, e) for q, e in zip(states, eps)])
+        expected = np.stack([reference_weights(q.scale, e) for q, e in zip(states, eps)])
         assert stein_weights(stack, eps).tobytes() == expected.tobytes()
 
     def test_single_state_solves_every_draw_at_once(self):
@@ -249,7 +296,7 @@ class TestSteinWeights:
         q = random_state(rng, 5)
         eps = rng.standard_normal((50, 1, 5))
         got = stein_weights(q, eps)
-        # one trtrs call over all 50 draws, the same as for (50, 5) noise
+        # one solve over all 50 draws, the same as for (50, 5) noise
         assert got.shape == eps.shape
         assert got.tobytes() == stein_weights(q, eps[:, 0]).tobytes()
         # a multi-column triangular solve may round differently from
@@ -261,6 +308,11 @@ class TestSteinWeights:
         q = _Chains(np.zeros(2), np.array([[1.0, 0.0], [0.5, 0.0]]))
         with pytest.raises(np.linalg.LinAlgError):
             stein_weights(q, np.ones((4, 2)))
+
+    def test_zero_diagonal_in_a_stack_raises_linalg_error(self):
+        scales = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.5, 0.0]]), np.eye(2)])
+        with pytest.raises(np.linalg.LinAlgError):
+            stein_weights(_Chains(np.zeros((3, 2)), scales), np.ones((3, 4, 2)))
 
 
 class TestDispatch:

@@ -1,5 +1,8 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +16,13 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_runtime_imports_no_scipy():
+    # in a fresh interpreter, so that the modules the tests import do not count
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(bwvi.__file__).resolve().parents[1])!r}); "
+        "import bwvi, bwvi.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
