@@ -45,7 +45,6 @@ from .optimizers import (
     Algorithm,
     OptimizerConfig,
     RunTrace,
-    TraceRecord,
     entropy_prox,
     jko_entropy,
     run,

@@ -78,7 +78,7 @@ def cmd_run(args) -> int:
     config = _load_config(args.config)
     traces = execute_run(config)
     out = _output_path(config, args.out, "trace.csv")
-    _write_csv(out, TRACE_HEADER, format_trace_rows(traces, config.seed))
+    _write_csv(out, TRACE_HEADER, format_trace_rows(traces))
     diverged = sum(t.diverged for t in traces)
     print(f"wrote {out}: {len(traces)} run(s), {diverged} diverged")
     return EXIT_OK

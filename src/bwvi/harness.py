@@ -294,16 +294,14 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def format_trace_rows(traces: list[RunTrace], base_seed: int) -> list[str]:
+def format_trace_rows(traces: list[RunTrace]) -> list[str]:
     rows = []
     for run_id, trace in enumerate(traces):
-        seed = base_seed + run_id
-        for rec in trace.records:
-            w2 = "" if rec.w2_sq is None else _format_float(rec.w2_sq)
+        for t, gamma, fe, se, w2, diverged in trace.records.tolist():
+            w2 = "" if math.isnan(w2) else _format_float(w2)
             rows.append(
-                f"{run_id},{seed},{rec.t},{_format_float(rec.gamma)},"
-                f"{_format_float(rec.free_energy)},{_format_float(rec.free_energy_se)},"
-                f"{w2},{str(rec.diverged).lower()}"
+                f"{run_id},{trace.seed},{t},{_format_float(gamma)},"
+                f"{_format_float(fe)},{_format_float(se)},{w2},{str(diverged).lower()}"
             )
     return rows
 
@@ -335,13 +333,13 @@ def _run_sweep_pair(
         (constant_schedule(c.gamma), config.seed + c.repetition, c.gamma_index) for c in cells
     ]
     results = []
-    for cell, (_, seed, stream), trace in zip(cells, chains, run_batch(opt, target, q0, chains)):
+    for cell, trace in zip(cells, run_batch(opt, target, q0, chains)):
         value = None
         if not trace.diverged:
-            eval_seed = np.random.SeedSequence(seed, spawn_key=(_EVAL_STREAM_OFFSET + stream,))
+            eval_seed = np.random.SeedSequence(trace.seed, spawn_key=(_EVAL_STREAM_OFFSET + trace.stream,))
             value = free_energy_mc(trace.final_state, target, config.eval_samples, eval_seed).value
         finite = value is not None and math.isfinite(value)
-        results.append(SweepResult(cell, seed, value if finite else None, not finite))
+        results.append(SweepResult(cell, trace.seed, value if finite else None, not finite))
     return results
 
 
@@ -376,8 +374,8 @@ def _openblas_functions(names: tuple[str, ...]) -> list:
 def _one_blas_thread():
     """Pool initializer: one BLAS thread per sweep worker, so that workers
     times threads stays within the cores; a no-op without a setter."""
-    setters = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-               "openblas_set_num_threads")
+    setters = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+               "openblas_set_num_threads64_", "openblas_set_num_threads")
     for setter in _openblas_functions(setters):
         setter(1)
 

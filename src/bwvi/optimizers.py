@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from .targets import Potential, QuadraticPotential, quadratic_optimum
 __all__ = [
     "Algorithm",
     "OptimizerConfig",
-    "TraceRecord",
     "RunTrace",
     "entropy_prox",
     "jko_entropy",
@@ -229,46 +228,44 @@ class OptimizerConfig:
             )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """Per-iteration diagnostics.
-
-    ``gamma`` is the step size the schedule prescribes at this iterate;
-    ``w2_sq`` is the exact squared distance to the optimum when the target
-    has a closed-form one (quadratic), else ``None``.
-    """
-
-    t: int
-    gamma: float
-    free_energy: float
-    free_energy_se: float
-    w2_sq: float | None
-    diverged: bool
+#: The fields of ``RunTrace.records``, one row per iterate.
+_TRACE_ROW = np.dtype([
+    ("t", np.int64), ("gamma", float), ("free_energy", float),
+    ("free_energy_se", float), ("w2_sq", float), ("diverged", bool),
+])
 
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Full record of one run: the initial state plus one record per
-    completed iteration, the terminal iterate, and the noise lineage."""
+    """Full record of one run: the initial state plus one row per
+    completed iteration, the terminal iterate, and the noise lineage.
 
-    records: tuple[TraceRecord, ...]
+    ``records`` is a numpy record array with the fields ``t``, ``gamma``
+    (the step size the schedule prescribes at that iterate),
+    ``free_energy``, ``free_energy_se``, ``w2_sq`` (the exact squared
+    distance to a closed-form optimum, such as a quadratic's, else NaN)
+    and ``diverged`` (set on a diverged run's last row only).
+    """
+
+    records: np.recarray
     final_state: GaussianVariational
     seed: int
     stream: int
 
+    def __post_init__(self):
+        self.records.flags.writeable = False  # the histories below are views
+
     @property
     def diverged(self) -> bool:
-        return self.records[-1].diverged
+        return bool(self.records.diverged[-1])
 
     @property
     def w2_history(self) -> np.ndarray:
-        return np.array(
-            [math.nan if r.w2_sq is None else r.w2_sq for r in self.records]
-        )
+        return self.records.w2_sq
 
     @property
     def free_energy_history(self) -> np.ndarray:
-        return np.array([r.free_energy for r in self.records])
+        return self.records.free_energy
 
 
 def run(
@@ -307,7 +304,7 @@ def run_batch(
     # the optimum's side, which keeps full accuracy for converged iterates.
     star_roots = None if q_star is None else _sqrt_and_inv_sqrt(q_star.sigma)
 
-    records: list[list[TraceRecord]] = [[] for _ in chains]
+    records: list[list[tuple]] = [[] for _ in chains]
     finals: list = [None] * len(chains)
     live = list(range(len(chains)))  # the chain of each row of the stack
     q = _Chains(*(np.repeat(a[None], len(live), axis=0) for a in (q0.mean, q0.scale)))
@@ -329,7 +326,7 @@ def run_batch(
             bad = [not math.isfinite(v) or v > config.divergence_threshold for v in fe]
             w2 = _w2_records(q_star, star_roots, q)
             for c, *record in zip(live, gammas, fe, se.tolist(), w2, bad):
-                records[c].append(TraceRecord(t, *record))
+                records[c].append((t, *record))
             if t == config.max_iters:
                 break
             # A chain whose energy ran away takes the step too, and is
@@ -341,14 +338,15 @@ def run_batch(
             failed = [b or not v or (row,) in errors for row, (b, v) in enumerate(zip(bad, valid))]
             if any(failed):
                 for row in np.flatnonzero(failed):
-                    records[live[row]][-1] = replace(records[live[row]][-1], diverged=True)
+                    rec = records[live[row]]
+                    rec[-1] = (*rec[-1][:-1], True)
                 live, (mean, scale) = _freeze(failed, live, q, finals, mean, scale)
                 if not live:
                     break
             q = _Chains(mean, scale)
     _freeze([True] * len(live), live, q, finals)
     return [
-        RunTrace(tuple(rec), GaussianVariational(*final), seed, stream)
+        RunTrace(np.rec.fromrecords(rec, dtype=_TRACE_ROW), GaussianVariational(*final), seed, stream)
         for rec, final, (_, seed, stream) in zip(records, finals, chains)
     ]
 
@@ -362,10 +360,10 @@ def _freeze(stop: list[bool], live: list[int], q: _Chains, finals: list, *arrays
 
 
 def _w2_records(q_star, star_roots, q: _Chains) -> list:
-    """Squared W2 distance of each chain to the optimum (``None`` without a
+    """Squared W2 distance of each chain to the optimum (NaN without a
     closed-form optimum, ``inf`` for a chain whose record fails)."""
     if q_star is None:
-        return [None] * len(q.mean)
+        return [math.nan] * len(q.mean)
     try:
         return _coupling_cost(q_star, star_roots, q).tolist()
     except _FAILURES:

@@ -29,7 +29,8 @@ from bwvi.harness import (
 )
 
 BLAS_GETTERS = (
-    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
+    "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_", "openblas_get_num_threads",
 )
 
 
@@ -271,16 +272,29 @@ class TestExecuteRun:
         )
         for rep, trace in enumerate(traces):
             alone = bwvi.optimizers.run(opt, target, q0, schedule, seed=rep)
-            assert trace.records == alone.records
+            assert trace.records.tobytes() == alone.records.tobytes()
             np.testing.assert_array_equal(trace.final_state.scale, alone.final_state.scale)
             np.testing.assert_array_equal(trace.final_state.mean, alone.final_state.mean)
 
 
+def openblas_libraries() -> int:
+    """Number of OpenBLAS libraries loaded in this process."""
+    with open("/proc/self/maps") as fh:
+        return len({p for p in (line.split()[-1] for line in fh) if "openblas" in p.lower()})
+
+
+def worker_blas() -> tuple[int, list[int]]:
+    return openblas_libraries(), blas_threads()
+
+
 def test_sweep_worker_uses_one_blas_thread():
+    pytest.importorskip("scipy.linalg")  # loads scipy's own OpenBLAS next to numpy's
     if not blas_threads():
         pytest.skip("no OpenBLAS thread-count getter is loaded")
     with ProcessPoolExecutor(1, initializer=bwvi.harness._one_blas_thread) as pool:
-        assert set(pool.submit(blas_threads).result()) == {1}
+        libraries, threads = pool.submit(worker_blas).result()
+    assert len(threads) == libraries  # one getter per loaded library
+    assert set(threads) == {1}
 
 
 class TestSweepCommand:
@@ -418,3 +432,16 @@ class TestTraceColumns:
         cli.main(["run", str(config_path), "--out", str(out)])
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert all(float(row[6]) >= 0.0 for row in rows)
+
+    def test_w2_column_inf_when_covariance_overflows(self, tmp_path):
+        # Each chain's Sigma = 1e308 I is finite, but its product with the
+        # optimum's root (Sigma_* > I here) overflows in the W2 record.
+        target = {"kind": "quadratic", "dim": 2, "condition_number": 5.0, "strong_convexity": 0.1}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(quadratic_config(
+            target=target, init={"mean": 0.0, "variance": 1e308}, repetitions=2, iterations=3,
+        )))
+        out = tmp_path / "trace.csv"
+        assert cli.main(["run", str(config_path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows and all(row[6] == "inf" for row in rows)

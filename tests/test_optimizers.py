@@ -9,10 +9,11 @@ from scipy.optimize import minimize_scalar
 
 from bwvi.errors import InvalidParameters
 from bwvi.estimators import EstimatorKind, draw_noise
-from bwvi.geometry import GaussianVariational, w2_distance_sq
+from bwvi.geometry import GaussianVariational, _Chains, _sqrt_and_inv_sqrt, w2_distance_sq
 from bwvi.optimizers import (
     Algorithm,
     OptimizerConfig,
+    _w2_records,
     entropy_prox,
     jko_entropy,
     run,
@@ -221,7 +222,7 @@ class TestRunDriver:
         sched = constant_schedule(0.02)
         a = run(config, target, q0, sched, seed=11)
         b = run(config, target, q0, sched, seed=11)
-        assert a.records == b.records
+        assert a.records.tobytes() == b.records.tobytes()
         np.testing.assert_array_equal(a.final_state.mean, b.final_state.mean)
         np.testing.assert_array_equal(a.final_state.scale, b.final_state.scale)
 
@@ -231,7 +232,7 @@ class TestRunDriver:
         sched = constant_schedule(0.02)
         a = run(config, target, q0, sched, seed=11)
         b = run(config, target, q0, sched, seed=12)
-        assert a.records != b.records
+        assert a.records.tobytes() != b.records.tobytes()
 
     def test_divergence_recorded_not_raised(self):
         target = random_quadratic(4, 100.0, seed=5)
@@ -241,6 +242,12 @@ class TestRunDriver:
         assert trace.diverged
         assert trace.records[-1].diverged
         assert len(trace.records) <= 4001
+
+    def test_w2_is_nan_without_closed_form_optimum(self):
+        config = OptimizerConfig(max_iters=5)
+        trace = run(config, ZeroPotential(2), GaussianVariational.isotropic(2),
+                    constant_schedule(0.1), seed=0)
+        assert len(trace.records) == 6 and np.isnan(trace.w2_history).all()
 
     def test_exact_mode_rejects_non_quadratic(self):
         from test_optimizers import ZeroPotential  # self-import keeps stub local
@@ -306,7 +313,7 @@ class ZeroAt:
 
 
 def assert_same_trace(a, b):
-    assert repr(a.records) == repr(b.records)  # repr: NaN energies compare equal
+    assert a.records.tobytes() == b.records.tobytes()  # bytes: NaN energies compare equal
     np.testing.assert_array_equal(a.final_state.mean, b.final_state.mean)
     np.testing.assert_array_equal(a.final_state.scale, b.final_state.scale)
     assert (a.diverged, a.seed, a.stream) == (b.diverged, b.seed, b.stream)
@@ -347,6 +354,24 @@ class TestRunBatch:
         assert endings == expected
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_records_are_one_array_diverged_on_the_last_row(self, algorithm):
+        config, target, q0, chains = self.batch(algorithm, EstimatorKind.BONNET_PRICE)
+        traces = run_batch(config, target, q0, chains)
+        assert {trace.diverged for trace in traces} == {False, True}
+        for trace in traces:
+            records = trace.records
+            assert records.dtype == np.dtype([
+                ("t", np.int64), ("gamma", float), ("free_energy", float),
+                ("free_energy_se", float), ("w2_sq", float), ("diverged", bool),
+            ])
+            assert not records.flags.writeable
+            np.testing.assert_array_equal(records.t, np.arange(len(records)))
+            diverged = np.zeros(len(records), dtype=bool)
+            diverged[-1] = trace.diverged
+            np.testing.assert_array_equal(records.diverged, diverged)
+            assert not np.isnan(records.w2_sq).any()  # a quadratic target has an optimum
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_frozen_chain_diverges_at_its_own_t(self, algorithm):
         config, target, q0, chains = self.batch(algorithm, EstimatorKind.BONNET_REPARAM)
         traces = run_batch(config, target, q0, chains)
@@ -385,3 +410,17 @@ class TestConfigValidation:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
             OptimizerConfig(algorithm="newton")
+
+
+def test_w2_record_of_an_overflowing_chain_is_inf():
+    target = random_quadratic(2, 5.0, seed=3)
+    q_star = quadratic_optimum(target)
+    rng = np.random.default_rng(8)
+    # Valid (finite, lower-triangular, positive diagonal), but C C' overflows.
+    overflowing = GaussianVariational(np.zeros(2), np.array([[1.0, 0.0], [1e200, 1.0]]))
+    states = [random_state(rng, 2), overflowing, random_state(rng, 2)]
+    stack = _Chains(*(np.stack([getattr(q, a) for q in states]) for a in ("mean", "scale")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = _w2_records(q_star, _sqrt_and_inv_sqrt(q_star.sigma), stack)
+    assert w2[1] == math.inf
+    assert [w2[0], w2[2]] == [w2_distance_sq(q_star, states[k]) for k in (0, 2)]
