@@ -28,11 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import _energy_estimate, free_energy_exact_quadratic
-from .errors import (
-    BwviError,
-    DimensionMismatch,
-    InvalidParameters,
-)
+from .errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite
 from .estimators import (
     EstimatorKind,
     _bw_gradient,
@@ -45,11 +41,9 @@ from .geometry import (
     _coupling_cost,
     _check_square,
     _sqrt_and_inv_sqrt,
-    _sqrt_symmetric,
     _state_checks,
     _t,
     _tril,
-    cholesky_factor,
     entropy,  # unused here; benchmarks/selfcheck.py traces a call to optimizers.entropy
     sample,
     symmetrize,
@@ -69,36 +63,41 @@ __all__ = [
     "run_batch",
 ]
 
-#: Numerical failures that end one chain as diverged instead of raising.
-_FAILURES = (BwviError, np.linalg.LinAlgError, ValueError, FloatingPointError)
-
 
 class Algorithm(str, enum.Enum):
     SPGD = "spgd"
     SPBWGD = "spbwgd"
 
 
+def _positive(gamma) -> np.ndarray:
+    gamma = np.asarray(gamma, dtype=float)
+    if (gamma <= 0.0).any():
+        raise InvalidParameters(f"gamma must be positive, got {gamma}")
+    return gamma
+
+
 def entropy_prox(scale: np.ndarray, gamma: float) -> np.ndarray:
     """Proximal operator of ``gamma * H`` on the scale factor.
 
-    Off-diagonal entries pass through; each diagonal entry solves the
-    scalar optimality condition ``c^2 - C_ii c - gamma = 0``, i.e.
-
-        ``C'_ii = (C_ii + sqrt(C_ii^2 + 4 gamma)) / 2 > 0``.
+    Off-diagonal entries pass through; each diagonal entry ``c = C_ii``
+    becomes the positive root of ``x^2 - c x - gamma = 0``, evaluated
+    without cancellation: with ``s = (|c| + sqrt(c^2 + 4 gamma)) / 2`` it is
+    ``s`` for ``c >= 0`` and, as the roots' product is ``-gamma``,
+    ``gamma / s`` for ``c < 0``.
 
     Input diagonals may be non-positive (a gradient step can overshoot);
     the prox repairs them by construction.  A stack of scale factors takes
     one step size per factor.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if (gamma <= 0.0).any():
-        raise InvalidParameters(f"gamma must be positive, got {gamma}")
+    gamma = _positive(gamma)[..., None]
     scale = np.asarray(scale, dtype=float)
     d = scale.shape[-1]
     diag = scale.diagonal(axis1=-2, axis2=-1)
+    root = 0.5 * (abs(diag) + np.sqrt(diag * diag + 4.0 * gamma))
+    np.divide(gamma, root, out=root, where=diag < 0.0)
     out = _tril(scale)
     flat = out.reshape(out.shape[:-2] + (d * d,))  # a view: ``out`` is contiguous
-    flat[..., :: d + 1] = 0.5 * (diag + np.sqrt(diag * diag + 4.0 * gamma[..., None]))
+    flat[..., :: d + 1] = root
     return out
 
 
@@ -109,67 +108,64 @@ def jko_entropy(sigma: np.ndarray, gamma: float) -> np.ndarray:
 
         ``Sigma' = (Sigma + 2 gamma I + (Sigma (Sigma + 4 gamma I))^{1/2}) / 2``
 
-    The output is symmetric positive definite for any symmetric PSD input;
-    the ``2 gamma I`` term is what rescues rank-deficient half-step
-    covariances.  Means are untouched by the entropy and pass through the
-    operator unchanged.  A stack of covariances takes one step size per
-    covariance.
+    evaluated on the spectrum ``Sigma = V diag(w) V'`` as
+    ``V diag((w + 2 gamma + sqrt(w (w + 4 gamma))) / 2) V'``, with ``w``
+    clipped at 0.  Each output eigenvalue is a sum of positive terms, at
+    least ``gamma``, so the output is symmetric positive definite and keeps
+    its small eigenvalues accurate however ill-conditioned ``Sigma`` is.
+    Means pass through unchanged.  A stack of covariances takes one step
+    size per covariance.  ``NotPositiveDefinite`` for a non-finite entry.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if (gamma <= 0.0).any():
-        raise InvalidParameters(f"gamma must be positive, got {gamma}")
+    gamma = _positive(gamma)
     sigma = np.asarray(sigma, dtype=float)
     _check_square(sigma)
-    sigma, g = symmetrize(sigma), gamma[..., None, None]
-    # Sigma (Sigma + 4 gamma I) = Sigma^2 + 4 gamma Sigma is symmetric PSD.
-    inner = symmetrize(sigma @ sigma + 4.0 * g * sigma)
-    root = _sqrt_symmetric(inner)
-    return symmetrize(0.5 * (sigma + 2.0 * g * np.eye(sigma.shape[-1]) + root))
+    if not np.isfinite(sigma).all():
+        raise NotPositiveDefinite("covariance entries must be finite")
+    return _jko(sigma, gamma)
 
 
-def _per_chain(fn, stack: np.ndarray, *args) -> tuple[np.ndarray, dict]:
-    """``fn(stack, *args)`` and the errors of the chains it failed for, by
-    chain index.  If the call raises, ``fn`` runs again chain by chain, so
-    that only the bad chains fail; their output is the identity."""
+def _jko(sigma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``jko_entropy`` unchecked, NaN for a matrix with a non-finite entry."""
+    sigma = symmetrize(sigma)
+    finite = np.isfinite(sigma).all(axis=(-2, -1))[..., None]
+    w, v = np.linalg.eigh(np.where(finite[..., None], sigma, 0.0))
+    w, g = w.clip(0.0, None), gamma[..., None]
+    w = np.where(finite, 0.5 * (w + 2.0 * g + np.sqrt(w * (w + 4.0 * g))), np.nan)
+    return symmetrize((v * w[..., None, :]) @ _t(v))
+
+
+def _cholesky(sigma: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky`` of a matrix or stack, NaN for a matrix without a factor."""
     try:
-        return fn(stack, *args), {}
-    except _FAILURES:
-        pass
-    out = np.empty(stack.shape)
-    errors = {}
-    for i in np.ndindex(stack.shape[:-2]):
-        try:
-            out[i] = fn(stack[i], *(a[i] for a in args))
-        except _FAILURES as err:
-            out[i] = np.eye(stack.shape[-1])
-            errors[i] = err
-    return out, errors
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        if sigma.ndim == 2:
+            return np.full(sigma.shape, np.nan)
+    return np.stack([_cholesky(row) for row in sigma])
 
 
-def _step(algorithm, kind, target, q, eps, evaluation, gamma) -> tuple[np.ndarray, np.ndarray, dict]:
+def _step(algorithm, kind, target, q, eps, evaluation, gamma) -> tuple[np.ndarray, np.ndarray]:
     """One step of ``algorithm`` from a state or from each chain of a stack,
     with the ``target.evaluate`` result at the draws ``C eps + m``
-    (``None``: evaluated here) and one step size per chain: the new means
-    and scales and the failed chains' errors."""
+    (``None``: evaluated here) and one positive or NaN step size per chain:
+    the new means and scales.  A chain whose step fails (a NaN step size or
+    Hessian, no Cholesky factor) gets a state that fails ``_state_checks``."""
     gamma = np.asarray(gamma, dtype=float)
     if algorithm is Algorithm.SPGD:
         location_grad, scale_grad = _param_gradient(kind, target, q, eps, evaluation)
-        half_scale = q.scale - gamma[..., None, None] * scale_grad
-        scale, errors = _per_chain(entropy_prox, half_scale, gamma)
+        scale = entropy_prox(q.scale - gamma[..., None, None] * scale_grad, gamma)
     else:
         location_grad, covariance_grad = _bw_gradient(kind, target, q, eps, evaluation)
         m_factor = np.eye(q.dim) - 2.0 * gamma[..., None, None] * covariance_grad
         half_factor = m_factor @ q.scale
-        sigma, errors = _per_chain(jko_entropy, half_factor @ _t(half_factor), gamma)
-        scale, cholesky_errors = _per_chain(cholesky_factor, sigma)
-        errors = {**cholesky_errors, **errors}
-    return q.mean - gamma[..., None] * location_grad, scale, errors
+        scale = _cholesky(_jko(half_factor @ _t(half_factor), gamma))
+    return q.mean - gamma[..., None] * location_grad, scale
 
 
 def _single_step(algorithm, q, target, eps, gamma, estimator) -> GaussianVariational:
-    mean, scale, errors = _step(algorithm, EstimatorKind(estimator), target, q, eps, None, gamma)
-    if errors:
-        raise errors[()]
+    """The step, or ``InvalidParameters`` for ``gamma <= 0`` and
+    ``NotPositiveDefinite`` for an invalid new state."""
+    mean, scale = _step(algorithm, EstimatorKind(estimator), target, q, eps, None, _positive(gamma))
     return GaussianVariational(mean, scale)
 
 
@@ -291,8 +287,9 @@ def run_batch(
 
     Each chain draws fresh noise per iteration with lineage ``(seed,
     stream, t)``, records diagnostics at every iterate, and ends diverged,
-    not raising, at a non-finite or runaway free energy, a failed step or
-    an invalid new state, keeping its last valid state.
+    not raising, at a non-finite or runaway free energy, a non-positive
+    step size or a new state that fails the state checks (a failed step's
+    state is NaN), keeping its last valid state.
     """
     if q0.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q0.dim} != target dimension {target.dim}")
@@ -330,12 +327,12 @@ def run_batch(
             if t == config.max_iters:
                 break
             # A chain whose energy ran away takes the step too, and is
-            # dropped with the chains whose step failed.
-            mean, scale, errors = _step(
-                config.algorithm, config.estimator, target, q, eps, evaluation, gammas
-            )
+            # dropped with the chains whose new state is invalid.  A
+            # non-positive step size is taken as NaN, which no state passes.
+            steps = [g if g > 0.0 else math.nan for g in gammas]
+            mean, scale = _step(config.algorithm, config.estimator, target, q, eps, evaluation, steps)
             valid = np.logical_and.reduce(_state_checks(mean, scale)).tolist()
-            failed = [b or not v or (row,) in errors for row, (b, v) in enumerate(zip(bad, valid))]
+            failed = [b or not v for b, v in zip(bad, valid)]
             if any(failed):
                 for row in np.flatnonzero(failed):
                     rec = records[live[row]]
@@ -366,7 +363,7 @@ def _w2_records(q_star, star_roots, q: _Chains) -> list:
         return [math.nan] * len(q.mean)
     try:
         return _coupling_cost(q_star, star_roots, q).tolist()
-    except _FAILURES:
+    except NotPositiveDefinite:  # a covariance that overflows
         if len(q.mean) == 1:
             return [math.inf]
     rows = (_Chains(mean[None], scale[None]) for mean, scale in zip(q.mean, q.scale))

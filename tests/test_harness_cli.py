@@ -395,12 +395,13 @@ class TestVerifyCommand:
         assert not check_fixed_points(instances=8).passed
 
     def test_mutated_jko_constant_fails_fixed_points(self, monkeypatch):
-        original = bwvi.optimizers.jko_entropy
+        # the step calls the spectral kernel, not the checked jko_entropy
+        original = bwvi.optimizers._jko
 
         def corrupted(sigma, gamma):
             return original(sigma, 2.0 * gamma)
 
-        monkeypatch.setattr(bwvi.optimizers, "jko_entropy", corrupted)
+        monkeypatch.setattr(bwvi.optimizers, "_jko", corrupted)
         assert not check_fixed_points(instances=8).passed
 
     def test_full_suite_includes_heavy_checks(self):

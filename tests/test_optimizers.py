@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from bwvi.errors import InvalidParameters
+import bwvi.optimizers
+from bwvi.errors import InvalidParameters, NotPositiveDefinite
 from bwvi.estimators import EstimatorKind, draw_noise
 from bwvi.geometry import GaussianVariational, _Chains, _sqrt_and_inv_sqrt, w2_distance_sq
 from bwvi.optimizers import (
     Algorithm,
     OptimizerConfig,
+    _cholesky,
     _w2_records,
     entropy_prox,
     jko_entropy,
@@ -80,9 +83,22 @@ class TestEntropyProx:
     @given(c=st.floats(-50.0, 50.0), gamma=st.floats(1e-8, 10.0))
     def test_scalar_optimality_condition(self, c, gamma):
         out = entropy_prox(np.array([[c]]), gamma)[0, 0]
-        # root of x^2 - c x - gamma = 0, positive branch
+        # root of x^2 - c x - gamma = 0, positive branch, to the rounding of
+        # the residual's own terms
         assert out > 0.0
-        assert abs(out * out - c * out - gamma) <= 1e-8 * max(1.0, c * c, gamma)
+        terms = max(out * out, abs(c * out), gamma)
+        assert abs(out * out - c * out - gamma) <= 1e-12 * terms
+
+    @pytest.mark.parametrize("c", [-1e4, -1e5])
+    def test_negative_diagonal_matches_50_digit_root(self, c):
+        # the root is about gamma / |c|: (c + sqrt(c^2 + 4 gamma)) / 2
+        # cancels to 9% error at -1e4 and to exactly 0 at -1e5
+        gamma = 1e-8
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (Decimal(c) + (Decimal(c) ** 2 + 4 * Decimal(gamma)).sqrt()) / 2
+        out = entropy_prox(np.array([[c]]), gamma)[0, 0]
+        assert abs(Decimal(out) - exact) <= Decimal(1e-15) * exact
 
 
 class TestJkoEntropy:
@@ -118,6 +134,48 @@ class TestJkoEntropy:
         sigma = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
         out = jko_entropy(sigma, gamma=0.05)
         assert np.linalg.eigvalsh(out)[0] > 0.0
+
+    @pytest.mark.parametrize("cond, tol", [(1e7, 1e-8), (1e11, 1e-5)])
+    def test_smallest_eigenvalue_of_rotated_diagonal(self, cond, tol):
+        # Forming Sigma @ Sigma squares the condition number (errors 7e-4
+        # and 0.4 here).  Rounding the input Sigma alone moves its smallest
+        # eigenvalue by up to eps ||Sigma|| / w_min = 2e-5 relative at 1e11.
+        gamma = 1e-12
+        rot, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
+        w = np.geomspace(1.0, 1.0 / cond, 5)
+        out = jko_entropy((rot * w) @ rot.T, gamma)
+        exact = 0.5 * (w[-1] + 2.0 * gamma + math.sqrt(w[-1] * (w[-1] + 4.0 * gamma)))
+        assert abs(np.linalg.eigvalsh(out)[0] - exact) <= tol * exact
+
+    def test_rejects_non_finite_input(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NotPositiveDefinite):
+                jko_entropy(np.array([[1.0, bad], [bad, 1.0]]), 0.1)
+
+    def test_rejects_nonpositive_step(self):
+        with pytest.raises(InvalidParameters):
+            jko_entropy(np.eye(2), 0.0)
+
+
+class TestCholesky:
+    def test_factorable_stack_equals_numpy(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 4, 4))
+        stack = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(4)
+        assert _cholesky(stack).tobytes() == np.linalg.cholesky(stack).tobytes()
+        assert _cholesky(stack[2]).tobytes() == np.linalg.cholesky(stack[2]).tobytes()
+
+    def test_rows_without_a_factor_are_nan(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((3, 2, 2))
+        stack = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(2)
+        stack[1] = [[1.0, 2.0], [2.0, 1.0]]  # indefinite
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        out = _cholesky(stack)
+        assert np.isnan(out[1]).all()
+        for row in (0, 2):
+            assert out[row].tobytes() == np.linalg.cholesky(stack[row]).tobytes()
 
 
 class TestSteps:
@@ -162,6 +220,27 @@ class TestSteps:
             noise = draw_noise(4, 2, seed=8, iteration=t)
             q = spbwgd_step(q, target, noise, 0.01, EstimatorKind.BONNET_REPARAM)
         assert np.linalg.eigvalsh(q.sigma)[0] > 0
+
+    @pytest.mark.parametrize("step", [spgd_step, spbwgd_step])
+    def test_nonpositive_step_raises(self, step):
+        target = random_quadratic(2, 5.0, seed=3)
+        for gamma in (0.0, -0.1):
+            with pytest.raises(InvalidParameters):
+                step(GaussianVariational.isotropic(2), target, draw_noise(2, 4, seed=0), gamma)
+
+    @pytest.mark.parametrize("step", [spgd_step, spbwgd_step])
+    def test_nan_hessian_raises(self, step):
+        base = random_quadratic(2, 5.0, seed=3)
+        target = TrippedQuadratic(base.precision, base.center, trip=-math.inf)
+        with pytest.raises(NotPositiveDefinite):
+            step(GaussianVariational.isotropic(2), target, draw_noise(2, 4, seed=0), 0.1)
+
+    def test_covariance_without_cholesky_factor_raises(self, monkeypatch):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(bwvi.optimizers, "_jko", lambda sigma, gamma: indefinite)
+        target = random_quadratic(2, 5.0, seed=3)
+        with pytest.raises(NotPositiveDefinite):
+            spbwgd_step(GaussianVariational.isotropic(2), target, None, 0.1, "exact")
 
     def test_deterministic_contraction_both_rules(self):
         target = random_quadratic(5, 10.0, seed=7)
@@ -302,6 +381,19 @@ class TrippedQuadratic(QuadraticPotential):
         return h
 
 
+@dataclass(frozen=True)
+class FirstStepHessians(QuadraticPotential):
+    """Quadratic whose mean Hessian for a stack of ``len(first)`` chains,
+    the first step of such a batch, is ``first[row]`` on each row."""
+
+    first: tuple = ()
+
+    def hessian_mean(self, points):
+        if len(points) == len(self.first):
+            return np.array(self.first)
+        return super().hessian_mean(points)
+
+
 class ZeroAt:
     """Step-size schedule that returns ``gamma`` except 0 at iteration ``t``."""
 
@@ -396,6 +488,31 @@ class TestRunBatch:
         assert traces[1].records[-1].t == 7 and traces[1].records[-1].gamma == 0.0
         for chain, trace in zip(chains, traces):
             assert_same_trace(trace, run(config, target, q0, *chain))
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_stack_with_bad_rows(self, algorithm):
+        # Rows: healthy; NaN Hessian; step size 0; and, at gamma = 1e-8, a
+        # Hessian that makes Sigma_half = M M' with eigenvalues (1e30, 1, 0).
+        # With this rotation the stack's SPBWGD JKO output has no Cholesky
+        # factor in that row; where rounding gives it one, the row's energy
+        # runs away at t = 1.
+        base = random_quadratic(3, 5.0, seed=3)
+        rot, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+        m_factor = (rot * [1e15, 1.0, 0.0]) @ rot.T
+        singular = (np.eye(3) - m_factor) / 1e-8  # M = I - gamma H
+        hessians = (base.precision, np.full((3, 3), np.nan), base.precision, singular)
+        target = FirstStepHessians(base.precision, base.center, first=hessians)
+        config = OptimizerConfig(algorithm=algorithm, max_iters=20)
+        q0 = GaussianVariational.isotropic(3)
+        chains = [
+            (constant_schedule(0.01), 0, 0), (constant_schedule(0.01), 0, 1),
+            (ZeroAt(0.01, 0), 0, 2), (constant_schedule(1e-8), 0, 3),
+        ]
+        traces = run_batch(config, target, q0, chains)
+        assert [t.diverged for t in traces] == [False, True, True, True]
+        assert [len(t.records) for t in traces[1:3]] == [1, 1]  # their step failed
+        assert len(traces[3].records) <= 2  # the step fails, or the energy runs away
+        assert_same_trace(traces[0], run(config, target, q0, *chains[0]))
 
 
 class TestConfigValidation:
