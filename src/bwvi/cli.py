@@ -94,9 +94,9 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     if args.points < 1:
         raise InvalidParameters(f"argument '--points': must be >= 1, got {args.points}")
-    if not (0.0 < args.gamma_min <= args.gamma_max):
+    if not (0.0 < args.gamma_min <= args.gamma_max < np.inf):
         raise InvalidParameters(
-            f"argument '--gamma-min/--gamma-max': need 0 < min <= max, "
+            f"argument '--gamma-min/--gamma-max': need finite 0 < min <= max, "
             f"got {args.gamma_min}, {args.gamma_max}"
         )
     if args.points == 1:

@@ -1,22 +1,19 @@
 """Target potentials ``U = -log pi`` (up to normalization).
 
-A potential exposes value, gradient, and Hessian of the negative
-log-density, plus strong-convexity/smoothness metadata ``(mu, L)``.  All
-evaluation methods accept a single point ``(d,)`` or a batch ``(k, d)``
-and are pure, so targets are safe to evaluate concurrently.
-
-``evaluate`` is the oracle the optimizers call once per iteration: values,
-gradients and (for Price) the mean Hessian at one batch of draws, from
-shared work (on the logistic target, one logits product and one ``exp``).
-
-Hessians are returned dense; the gradient estimators need full
-``H @ C`` products and the intended problem sizes are small (d up to a
-few hundred).
+A potential is its metadata ``(dim, mu, L)`` and two pure methods:
+``value(x)`` at a point ``(d,)`` or a batch ``(k, d)``, and
+``evaluate(z, hessian)``, the one oracle the optimizers call per
+iteration: values, gradients and, for Price's estimator only, the mean
+Hessian at a batch of draws, from shared work (on the logistic target, one
+logits product and one ``exp``).  The reparametrization estimator needs no
+Hessian.  Hessians are dense; the estimators need full ``H @ C`` products
+and the intended problem sizes are small (d up to a few hundred).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +62,13 @@ class PotentialMetadata:
 class Potential:
     """Base class for twice-differentiable strongly log-concave targets.
 
-    Subclasses set ``metadata`` and implement ``value``, ``grad``,
-    ``hessian`` (dense, per point), ``evaluate`` and ``hessian_mean`` (the
-    average Hessian over the draw axis: ``(d, d)`` for ``(M, d)`` points,
-    one per chain for ``(B, M, d)``).
+    Subclasses set ``metadata`` (``PotentialMetadata(d, mu, L)``) and
+    implement ``value`` and ``evaluate``.  ``evaluate`` takes draws
+    ``(M, d)`` or ``(B, M, d)`` (a stack of chains) and returns values
+    ``(M,)`` / ``(B, M)``, gradients of the draws' shape, and the Hessian
+    averaged over the draw axis: ``(d, d)``, or one per chain ``(B, d, d)``
+    (a shared ``(d, d)`` serves every chain).  Only ``bonnet_price`` asks
+    for the Hessian; with ``hessian`` false it is ``None``.
     """
 
     metadata: PotentialMetadata
@@ -78,16 +78,11 @@ class Potential:
         return self.metadata.dim
 
     def value(self, x: np.ndarray):
-        raise NotImplementedError
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """``U(x)`` at a point ``(d,)`` or at each row of a batch ``(k, d)``."""
         raise NotImplementedError
 
     def evaluate(self, z: np.ndarray, hessian: bool):
-        """``(value(z), grad(z), hessian_mean(z) if hessian else None)`` at a
+        """``(U(z), grad U(z), mean Hessian if hessian else None)`` at a
         batch of draws ``(M, d)`` or ``(B, M, d)``, in one pass."""
         raise NotImplementedError
 
@@ -137,24 +132,11 @@ class QuadraticPotential(Potential):
     def value(self, x):
         return self.evaluate(x, False)[0]
 
-    def grad(self, x):
-        x = self._check_point(x)
-        return (x - self.center) @ self.precision
-
     def evaluate(self, z, hessian):
         diff = self._check_point(z) - self.center
         g = diff @ self.precision
         values = 0.5 * np.sum(np.multiply(diff, g, out=diff), axis=-1)
-        return values, g, self.hessian_mean(z) if hessian else None
-
-    def hessian(self, x):
-        x = self._check_point(x)
-        if x.ndim == 1:
-            return self.precision.copy()
-        return np.broadcast_to(self.precision, x.shape[:-1] + self.precision.shape).copy()
-
-    def hessian_mean(self, points):
-        return self.precision.copy()
+        return values, g, self.precision.copy() if hessian else None
 
     def exact_gradients(self, q: GaussianVariational) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form ``(E_q[grad U], E_q[hess U])`` for exact-gradient runs
@@ -252,22 +234,6 @@ class LogisticRidgePotential(Potential):
         x = self._check_point(x)
         return self._value(x, *self._logits(x))
 
-    def grad(self, x):
-        return self.evaluate(x, False)[1]
-
-    def hessian(self, x):
-        x = self._check_point(x)
-        s = _sigmoid(*self._logits(x))
-        w = s * (1.0 - s)
-        eye = self.ridge * np.eye(self.dim)
-        if x.ndim == 1:
-            return symmetrize(self.design.T @ (w[:, None] * self.design)) + eye
-        h = np.einsum("kn,ni,nj->kij", w, self.design, self.design)
-        return h + eye
-
-    def hessian_mean(self, points):
-        return self.evaluate(np.atleast_2d(points), True)[2]
-
 
 def load_logistic_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a CSV dataset for the logistic-ridge target.
@@ -279,7 +245,7 @@ def load_logistic_dataset(path) -> tuple[np.ndarray, np.ndarray]:
         ``(design, labels)`` with shapes ``(n, d)`` and ``(n,)``.
 
     Raises:
-        ParseError: malformed numeric data or no data rows.
+        ParseError: malformed or non-finite numeric data, or no data rows.
         LabelError: a label outside {0, 1}.
         OSError: unreadable file.
     """
@@ -299,6 +265,8 @@ def load_logistic_dataset(path) -> tuple[np.ndarray, np.ndarray]:
                 rows.append([float(v) for v in row])
             except ValueError as err:
                 raise ParseError(f"{path}:{lineno}: {err}") from err
+            if not all(map(math.isfinite, rows[-1])):
+                raise ParseError(f"{path}:{lineno}: non-finite value")
     if not rows:
         raise ParseError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)

@@ -226,6 +226,16 @@ class TestRunCommand:
         config_path.write_text(json.dumps(config))
         assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_dataset_value_is_config_error(self, tmp_path, capsys, bad):
+        data = tmp_path / "toy.csv"
+        data.write_text(f"a,b,y\n0.4,1.0,1\n-0.2,{bad},0\n")
+        config = quadratic_config(target={"kind": "logistic", "dataset": str(data), "ridge": 0.1})
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert f"{data}:3: non-finite value" in capsys.readouterr().err
+
     def test_invalid_config_is_config_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(quadratic_config(iterations=-4)))
@@ -353,6 +363,18 @@ class TestSweepCommand:
         assert cli.main([
             "sweep", str(config_path), "--gamma-min", "1.0", "--gamma-max", "0.1",
         ]) == 2
+
+    @pytest.mark.parametrize("bounds", [("1e-8", "inf"), ("inf", "inf")], ids=["max", "both"])
+    def test_infinite_grid_bound_is_config_error(self, tmp_path, capsys, bounds):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(quadratic_config()))
+        out = tmp_path / "sweep.csv"
+        assert cli.main([
+            "sweep", str(config_path), "--gamma-min", bounds[0], "--gamma-max", bounds[1],
+            "--points", "3", "--out", str(out),
+        ]) == 2
+        assert "argument '--gamma-min/--gamma-max'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -374,11 +374,13 @@ class TrippedQuadratic(QuadraticPotential):
 
     trip: float = math.inf
 
-    def hessian_mean(self, points):
-        points = np.asarray(points)
-        h = np.broadcast_to(self.precision, points.shape[:-2] + self.precision.shape).copy()
-        h[points[..., 0].max(axis=-1) > self.trip] = np.nan
-        return h
+    def evaluate(self, z, hessian):
+        values, g, h = super().evaluate(z, hessian)
+        if hessian:
+            z = np.asarray(z)
+            h = np.broadcast_to(h, z.shape[:-2] + h.shape).copy()
+            h[z[..., 0].max(axis=-1) > self.trip] = np.nan
+        return values, g, h
 
 
 @dataclass(frozen=True)
@@ -388,10 +390,11 @@ class FirstStepHessians(QuadraticPotential):
 
     first: tuple = ()
 
-    def hessian_mean(self, points):
-        if len(points) == len(self.first):
-            return np.array(self.first)
-        return super().hessian_mean(points)
+    def evaluate(self, z, hessian):
+        values, g, h = super().evaluate(z, hessian)
+        if hessian and len(z) == len(self.first):
+            h = np.array(self.first)
+        return values, g, h
 
 
 class ZeroAt:

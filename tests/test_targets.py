@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from bwvi.diagnostics import free_energy_mc
 from bwvi.errors import DimensionMismatch, InvalidParameters, LabelError, NotPositiveDefinite, ParseError
-from bwvi.geometry import w2_distance_sq
-from bwvi.optimizers import spbwgd_step
+from bwvi.estimators import EstimatorKind
+from bwvi.geometry import GaussianVariational, w2_distance_sq
+from bwvi.optimizers import Algorithm, OptimizerConfig, run_batch, spbwgd_step
+from bwvi.schedules import constant_schedule
 from bwvi.targets import (
     LogisticRidgePotential,
+    Potential,
     QuadraticPotential,
     _sigmoid,
     load_logistic_dataset,
@@ -21,6 +25,15 @@ def toy_logistic(ridge=0.5):
     design = rng.standard_normal((4, 2))
     labels = np.array([1.0, 0.0, 0.0, 1.0])
     return LogisticRidgePotential(design, labels, ridge)
+
+
+def grad_at(target, x):
+    return target.evaluate(x, False)[1]
+
+
+def hessian_at(target, x):
+    """The Hessian at one point: the mean over a single draw."""
+    return target.evaluate(x[None], True)[2]
 
 
 def central_grad(target, x, rel=1e-5):
@@ -41,7 +54,7 @@ def central_hessian(target, x, rel=1e-5):
         up, lo = x.copy(), x.copy()
         up[i] += h
         lo[i] -= h
-        h_mat[:, i] = (target.grad(up) - target.grad(lo)) / (2.0 * h)
+        h_mat[:, i] = (grad_at(target, up) - grad_at(target, lo)) / (2.0 * h)
     return 0.5 * (h_mat + h_mat.T)
 
 
@@ -56,13 +69,13 @@ class TestQuadratic:
 
     def test_grad(self):
         t = QuadraticPotential(np.eye(2), np.zeros(2))
-        np.testing.assert_array_equal(t.grad(np.array([3.0, -1.0])), [3.0, -1.0])
-        np.testing.assert_array_equal(t.grad(t.center), np.zeros(2))
+        np.testing.assert_array_equal(grad_at(t, np.array([3.0, -1.0])), [3.0, -1.0])
+        np.testing.assert_array_equal(grad_at(t, t.center), np.zeros(2))
 
     def test_constant_hessian(self, rng):
         t = random_quadratic(3, 5.0, seed=0)
         for _ in range(5):
-            np.testing.assert_array_equal(t.hessian(rng.standard_normal(3)), t.precision)
+            np.testing.assert_array_equal(hessian_at(t, rng.standard_normal(3)), t.precision)
 
     def test_metadata_spectrum(self):
         t = random_quadratic(4, 25.0, seed=1)
@@ -89,7 +102,7 @@ class TestLogisticRidge:
 
     def test_zero_design_reduces_to_ridge(self):
         t = LogisticRidgePotential(np.zeros((3, 2)), np.array([0.0, 1.0, 0.0]), ridge=1.0)
-        np.testing.assert_allclose(t.hessian(np.array([0.5, -2.0])), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(hessian_at(t, np.array([0.5, -2.0])), np.eye(2), atol=1e-15)
 
     def test_metadata(self):
         t = toy_logistic(ridge=0.25)
@@ -108,18 +121,12 @@ class TestLogisticRidge:
     def test_batched_evaluation_consistent(self, rng):
         t = toy_logistic()
         xs = rng.standard_normal((6, 2))
-        vals = t.value(xs)
-        grads = t.grad(xs)
-        hess = t.hessian(xs)
+        vals, grads, mean_hess = t.evaluate(xs, True)
         for k in range(6):
             np.testing.assert_allclose(vals[k], t.value(xs[k]), rtol=1e-14)
-            np.testing.assert_allclose(grads[k], t.grad(xs[k]), atol=1e-13)
-            np.testing.assert_allclose(hess[k], t.hessian(xs[k]), atol=1e-13)
-
-    def test_hessian_helpers_consistent(self, rng):
-        t = toy_logistic()
-        pts = rng.standard_normal((8, 2))
-        np.testing.assert_allclose(t.hessian_mean(pts), t.hessian(pts).mean(axis=0), atol=1e-14)
+            np.testing.assert_allclose(grads[k], grad_at(t, xs[k]), atol=1e-13)
+        per_point = np.mean([hessian_at(t, x) for x in xs], axis=0)
+        np.testing.assert_allclose(mean_hess, per_point, atol=1e-14)
 
 
 def where_sigmoid(t):
@@ -141,8 +148,10 @@ class TestEvaluate:
         z = 3.0 * rng.standard_normal(shape)
         values, grads, mean_hess = target.evaluate(z, True)
         np.testing.assert_allclose(values, target.value(z), rtol=1e-14, atol=0.0)
-        np.testing.assert_array_equal(grads, target.grad(z))
-        np.testing.assert_array_equal(mean_hess, target.hessian_mean(z))
+        per_chain = np.broadcast_to(mean_hess, shape[:-2] + (3, 3))
+        for chain in np.ndindex(shape[:-2]):
+            alone = target.evaluate(z[chain], True)[2]
+            np.testing.assert_allclose(per_chain[chain], alone, rtol=1e-14, atol=1e-14)
         assert target.evaluate(z, False)[2] is None
         np.testing.assert_array_equal(target.evaluate(z, False)[1], grads)
 
@@ -159,11 +168,12 @@ class TestSigmoid:
         t = toy_logistic()
         x = np.array([[0.3, -0.7], [2.0, 1.5]])
         s = where_sigmoid(x @ t.design.T)
-        np.testing.assert_array_equal(t.grad(x), (s - t.labels) @ t.design + t.ridge * x)
+        _, grads, mean_hess = t.evaluate(x, True)
+        np.testing.assert_array_equal(grads, (s - t.labels) @ t.design + t.ridge * x)
         w = (s * (1.0 - s)).mean(axis=0)
         expected = 0.5 * (t.design.T @ (w[:, None] * t.design))
         expected = expected + expected.T + t.ridge * np.eye(2)
-        np.testing.assert_array_equal(t.hessian_mean(x), expected)
+        np.testing.assert_array_equal(mean_hess, expected)
 
 
 class TestLogisticValueAccuracy:
@@ -195,7 +205,7 @@ class TestDerivativeOracles:
         target = make_target()
         for _ in range(100):
             x = rng.standard_normal(dim) * 2.0
-            g = target.grad(x)
+            g = grad_at(target, x)
             fd = central_grad(target, x)
             assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
@@ -210,7 +220,7 @@ class TestDerivativeOracles:
         target = make_target()
         for _ in range(20):
             x = rng.standard_normal(dim) * 2.0
-            h = target.hessian(x)
+            h = hessian_at(target, x)
             fd = central_hessian(target, x)
             assert np.linalg.norm(h - fd) <= 1e-5 * max(1.0, np.linalg.norm(h))
 
@@ -225,9 +235,73 @@ class TestDerivativeOracles:
         target = make_target()
         meta = target.metadata
         for _ in range(100):
-            eigs = np.linalg.eigvalsh(target.hessian(rng.standard_normal(dim) * 3.0))
+            eigs = np.linalg.eigvalsh(hessian_at(target, rng.standard_normal(dim) * 3.0))
             assert eigs[0] >= meta.strong_convexity - 1e-8
             assert eigs[-1] <= meta.smoothness + 1e-8
+
+
+class ContractOnly(Potential):
+    """A target written against the contract alone: ``metadata``, ``value``
+    and ``evaluate``, on a quadratic's arrays."""
+
+    def __init__(self, quad):
+        self.metadata = quad.metadata
+        self.precision, self.center = quad.precision, quad.center
+
+    def value(self, x):
+        return self.evaluate(x, False)[0]
+
+    def evaluate(self, z, hessian):
+        diff = np.asarray(z, dtype=float) - self.center
+        g = diff @ self.precision
+        return 0.5 * np.sum(diff * g, axis=-1), g, self.precision.copy() if hessian else None
+
+
+class NoHessian(Exception):
+    pass
+
+
+class GradientOnly(ContractOnly):
+    """A target that has no Hessian to give."""
+
+    def evaluate(self, z, hessian):
+        if hessian:
+            raise NoHessian
+        return super().evaluate(z, hessian)
+
+
+class TestPotentialContract:
+    QUAD = random_quadratic(3, 20.0, seed=4)
+    Q0 = GaussianVariational.isotropic(3, 0.0, 0.34)
+    CHAINS = [(constant_schedule(g), s, i) for i, g in enumerate((1e-3, 0.05)) for s in (0, 1)]
+
+    def traces(self, target, algorithm, estimator):
+        config = OptimizerConfig(algorithm=algorithm, estimator=estimator, max_iters=40)
+        return run_batch(config, target, self.Q0, self.CHAINS)
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    @pytest.mark.parametrize("estimator", [EstimatorKind.BONNET_PRICE, EstimatorKind.BONNET_REPARAM])
+    def test_runs_equal_the_quadratic(self, algorithm, estimator):
+        for got, want in zip(
+            self.traces(ContractOnly(self.QUAD), algorithm, estimator),
+            self.traces(self.QUAD, algorithm, estimator),
+        ):
+            records = want.records.copy()
+            records.w2_sq = np.nan  # no closed-form optimum to measure against
+            assert got.records.tobytes() == records.tobytes()
+            np.testing.assert_array_equal(got.final_state.scale, want.final_state.scale)
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_reparam_needs_no_hessian(self, algorithm):
+        traces = self.traces(GradientOnly(self.QUAD), algorithm, EstimatorKind.BONNET_REPARAM)
+        assert [(len(t.records), t.diverged) for t in traces] == [(41, False)] * len(self.CHAINS)
+        with pytest.raises(NoHessian):
+            self.traces(GradientOnly(self.QUAD), algorithm, EstimatorKind.BONNET_PRICE)
+
+    def test_free_energy_equals_the_quadratic(self):
+        q = GaussianVariational(np.ones(3), np.diag([0.5, 1.0, 2.0]))
+        got = free_energy_mc(q, ContractOnly(self.QUAD), 4096, seed=7)
+        assert got == free_energy_mc(q, self.QUAD, 4096, seed=7)
 
 
 class TestQuadraticOptimum:
@@ -281,6 +355,14 @@ class TestDatasetLoading:
         path.write_text("a,b,y\n0,oops,1\n")
         with pytest.raises(ParseError):
             load_logistic_dataset(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf"])
+    def test_non_finite_value_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,b,y\n0,1,1\n\n{bad},0,0\n")
+        with pytest.raises(ParseError) as err:
+            load_logistic_dataset(path)
+        assert str(err.value) == f"{path}:4: non-finite value"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
