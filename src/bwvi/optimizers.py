@@ -16,7 +16,10 @@ trace is bitwise the one it has alone, and a diverged chain is frozen while
 the others go on.  A single run is the case B = 1.  Each iteration makes
 one potential-oracle call, ``target.evaluate`` at the draws ``C eps + m``:
 its values give the free-energy record, and its gradients (with Price, its
-mean Hessian) give the step.
+mean Hessian) give the step.  The W2 record of a target with a closed-form
+optimum is taken after the steps, for blocks of iterates of about
+``_W2_BLOCK`` covariance entries at a time, which bounds the iterates held
+back; the values are bitwise those of one call per iteration.
 """
 
 from __future__ import annotations
@@ -286,7 +289,8 @@ def run_batch(
     ``chains``, run in lock step and returned in that order.
 
     Each chain draws fresh noise per iteration with lineage ``(seed,
-    stream, t)``, records diagnostics at every iterate, and ends diverged,
+    stream, t)``, records diagnostics at every iterate (the W2 column for
+    blocks of iterates, bitwise as iteration by iteration), and ends diverged,
     not raising, at a non-finite or runaway free energy, a non-positive
     step size or a new state that fails the state checks (a failed step's
     state is NaN), keeping its last valid state.
@@ -302,6 +306,9 @@ def run_batch(
     star_roots = None if q_star is None else _sqrt_and_inv_sqrt(q_star.sigma)
 
     records: list[list[tuple]] = [[] for _ in chains]
+    w2: list[list[float]] = [[] for _ in chains]
+    pending: list[tuple[list[int], _Chains]] = []  # iterates awaiting their W2 records
+    pending_rows = 0
     finals: list = [None] * len(chains)
     live = list(range(len(chains)))  # the chain of each row of the stack
     q = _Chains(*(np.repeat(a[None], len(live), axis=0) for a in (q0.mean, q0.scale)))
@@ -321,9 +328,16 @@ def run_batch(
                 fe, se = _energy_estimate(q, evaluation[0])
             fe = fe.tolist()
             bad = [not math.isfinite(v) or v > config.divergence_threshold for v in fe]
-            w2 = _w2_records(q_star, star_roots, q)
-            for c, *record in zip(live, gammas, fe, se.tolist(), w2, bad):
-                records[c].append((t, *record))
+            for c, gamma, energy, error, runaway in zip(live, gammas, fe, se.tolist(), bad):
+                records[c].append((t, gamma, energy, error, math.nan, runaway))
+            if q_star is not None:
+                # No state is written in place (``_step`` and ``_freeze``
+                # return new arrays), so an iterate can wait for its record.
+                pending.append((live, q))
+                pending_rows += len(live)
+                if pending_rows * q0.dim**2 >= _W2_BLOCK:
+                    _flush_w2(q_star, star_roots, pending, w2)
+                    pending_rows = 0
             if t == config.max_iters:
                 break
             # A chain whose energy ran away takes the step too, and is
@@ -341,11 +355,21 @@ def run_batch(
                 if not live:
                     break
             q = _Chains(mean, scale)
+        if pending:
+            _flush_w2(q_star, star_roots, pending, w2)
     _freeze([True] * len(live), live, q, finals)
     return [
-        RunTrace(np.rec.fromrecords(rec, dtype=_TRACE_ROW), GaussianVariational(*final), seed, stream)
-        for rec, final, (_, seed, stream) in zip(records, finals, chains)
+        RunTrace(_record_array(rec, values), GaussianVariational(*final), seed, stream)
+        for rec, values, final, (_, seed, stream) in zip(records, w2, finals, chains)
     ]
+
+
+def _record_array(rows: list[tuple], w2: list[float]) -> np.recarray:
+    """A chain's records, with its W2 column when it has one."""
+    records = np.rec.fromrecords(rows, dtype=_TRACE_ROW)
+    if w2:
+        records["w2_sq"] = w2
+    return records
 
 
 def _freeze(stop: list[bool], live: list[int], q: _Chains, finals: list, *arrays):
@@ -356,15 +380,34 @@ def _freeze(stop: list[bool], live: list[int], q: _Chains, finals: list, *arrays
     return [c for c, k in zip(live, keep) if k], [a[keep] for a in arrays]
 
 
+#: Covariance entries (``sum B d^2`` over the iterates) that make one block
+#: of W2 records: at d = 5 one chain takes 41 iterates per block, at d >= 32
+#: each iterate is its own block.
+_W2_BLOCK = 1024
+
+
+def _flush_w2(q_star, star_roots, pending: list, w2: list[list[float]]):
+    """Take the W2 records of the ``pending`` ``(live, q)`` iterates in one
+    stacked call, append each to its chain's list and empty ``pending``."""
+    block = _Chains(*(np.concatenate(a) for a in zip(*(q for _, q in pending))))
+    values = iter(_w2_records(q_star, star_roots, block))
+    for live, _ in pending:
+        for c, value in zip(live, values):
+            w2[c].append(value)
+    pending.clear()
+
+
 def _w2_records(q_star, star_roots, q: _Chains) -> list:
-    """Squared W2 distance of each chain to the optimum (NaN without a
-    closed-form optimum, ``inf`` for a chain whose record fails)."""
-    if q_star is None:
-        return [math.nan] * len(q.mean)
+    """Squared W2 distance of each state of the stack to the optimum
+    (``inf`` for a state whose record fails)."""
     try:
         return _coupling_cost(q_star, star_roots, q).tolist()
     except NotPositiveDefinite:  # a covariance that overflows
-        if len(q.mean) == 1:
-            return [math.inf]
-    rows = (_Chains(mean[None], scale[None]) for mean, scale in zip(q.mean, q.scale))
-    return [w for row in rows for w in _w2_records(q_star, star_roots, row)]
+        pass
+    values = []
+    for mean, scale in zip(q.mean, q.scale):
+        try:
+            values.append(_coupling_cost(q_star, star_roots, _Chains(mean[None], scale[None])).item())
+        except NotPositiveDefinite:
+            values.append(math.inf)
+    return values

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,11 +11,18 @@ from scipy.optimize import minimize_scalar
 import bwvi.optimizers
 from bwvi.errors import InvalidParameters, NotPositiveDefinite
 from bwvi.estimators import EstimatorKind, draw_noise
-from bwvi.geometry import GaussianVariational, _Chains, _sqrt_and_inv_sqrt, w2_distance_sq
+from bwvi.geometry import (
+    GaussianVariational,
+    _Chains,
+    _coupling_cost,
+    _sqrt_and_inv_sqrt,
+    w2_distance_sq,
+)
 from bwvi.optimizers import (
     Algorithm,
     OptimizerConfig,
     _cholesky,
+    _flush_w2,
     _w2_records,
     entropy_prox,
     jko_entropy,
@@ -518,6 +525,97 @@ class TestRunBatch:
         assert_same_trace(traces[0], run(config, target, q0, *chains[0]))
 
 
+@dataclass(frozen=True)
+class KickedQuadratic(QuadraticPotential):
+    """Quadratic whose gradients on row ``row`` of its ``at``-th evaluation
+    (from 0) are scaled by 1e200: that chain's next mean is about 1e198, a
+    valid state whose energy and W2 record overflow."""
+
+    at: int = 0
+    row: int = 0
+    calls: list = field(default_factory=list, compare=False)
+
+    def evaluate(self, z, hessian):
+        values, g, h = super().evaluate(z, hessian)
+        if len(self.calls) == self.at:
+            g = g.copy()
+            g[self.row] *= 1e200
+        self.calls.append(None)
+        return values, g, h
+
+
+class TestW2Blocks:
+    """The W2 column is taken for blocks of iterates after their steps: the
+    block size changes no bit of a trace, and the blocks are what the
+    coupling-cost calls count."""
+
+    def assert_block_size_changes_nothing(self, monkeypatch, config, target, q0, chains):
+        blocked = run_batch(config, target, q0, chains)
+        monkeypatch.setattr(bwvi.optimizers, "_W2_BLOCK", 1)  # every iteration its own block
+        for a, b in zip(blocked, run_batch(config, target, q0, chains), strict=True):
+            assert_same_trace(a, b)
+        return blocked
+
+    @pytest.mark.parametrize("algorithm, estimator", PAIRS)
+    def test_mixed_freezing_batch(self, monkeypatch, algorithm, estimator):
+        self.assert_block_size_changes_nothing(monkeypatch, *TestRunBatch().batch(algorithm, estimator))
+
+    def test_single_chain_freezing_inside_a_block(self, monkeypatch):
+        # At d = 5 one chain takes 41 iterates per block; it stops at
+        # t = 100, inside its third block.
+        target = random_quadratic(5, 10.0, seed=4)
+        q0 = GaussianVariational.isotropic(5, 0.0, 0.34)
+        config = OptimizerConfig(max_iters=300)
+        [trace] = self.assert_block_size_changes_nothing(
+            monkeypatch, config, target, q0, [(ZeroAt(0.01, 100), 0, 0)]
+        )
+        assert trace.diverged and len(trace.records) == 101
+        assert np.isfinite(trace.w2_history).all()
+
+    def test_dimension_50(self, monkeypatch):
+        target = random_quadratic(50, 10.0, seed=2)
+        q0 = GaussianVariational.isotropic(50, 0.0, 0.34)
+        config = OptimizerConfig(algorithm=Algorithm.SPBWGD, max_iters=20)
+        chains = [(constant_schedule(1e-3), seed, 0) for seed in (0, 1)]
+        self.assert_block_size_changes_nothing(monkeypatch, config, target, q0, chains)
+
+    @pytest.mark.parametrize("max_iters", [25, 60])
+    def test_overflow_inside_a_block_is_inf_in_its_row_only(self, max_iters):
+        # Three chains at d = 5 take 14 iterates per block; chain 1's mean
+        # jumps at t = 21, inside the block from t = 14, which is the run's
+        # last at T = 25.  Its energy and W2 record overflow there, and no
+        # RuntimeWarning escapes.
+        base = random_quadratic(5, 10.0, seed=4)
+        q0 = GaussianVariational.isotropic(5, 0.0, 0.34)
+        config = OptimizerConfig(max_iters=max_iters)
+        chains = [(constant_schedule(0.01), seed, 0) for seed in range(3)]
+        traces = run_batch(config, KickedQuadratic(base.precision, base.center, at=20, row=1), q0, chains)
+        kicked = traces[1]
+        assert kicked.diverged and len(kicked.records) == 22
+        assert kicked.records.w2_sq[-1] == math.inf and np.isfinite(kicked.records.w2_sq[:-1]).all()
+        assert_same_trace(kicked, run(config, KickedQuadratic(base.precision, base.center, at=20), q0, *chains[1]))
+        for k in (0, 2):
+            assert_same_trace(traces[k], run(config, base, q0, *chains[k]))
+
+    @pytest.mark.parametrize("dim, max_iters", [(5, 400), (50, 30)])
+    def test_coupling_cost_calls(self, monkeypatch, dim, max_iters):
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return _coupling_cost(*args)
+
+        monkeypatch.setattr(bwvi.optimizers, "_coupling_cost", counting)
+        target = random_quadratic(dim, 10.0, seed=2)
+        q0 = GaussianVariational.isotropic(dim, 0.0, 0.34)
+        trace = run(OptimizerConfig(max_iters=max_iters), target, q0, constant_schedule(1e-3), seed=0)
+        assert not trace.diverged
+        if dim == 5:
+            assert len(calls) <= math.ceil((max_iters + 1) * 25 / 1024)  # 10 blocks
+        else:
+            assert len(calls) == max_iters + 1  # 2500 entries: one iterate per block
+
+
 class TestConfigValidation:
     def test_rejects_bad_minibatch(self):
         with pytest.raises(InvalidParameters):
@@ -544,3 +642,25 @@ def test_w2_record_of_an_overflowing_chain_is_inf():
         w2 = _w2_records(q_star, _sqrt_and_inv_sqrt(q_star.sigma), stack)
     assert w2[1] == math.inf
     assert [w2[0], w2[2]] == [w2_distance_sq(q_star, states[k]) for k in (0, 2)]
+
+
+def test_w2_block_with_overflowing_rows_is_inf_there_only():
+    # A block of four iterates of two chains: chain 0's covariance overflows
+    # at its second, chain 1's squared mean shift at its third.
+    target = random_quadratic(2, 5.0, seed=3)
+    q_star = quadratic_optimum(target)
+    rng = np.random.default_rng(9)
+    overflowing = GaussianVariational(np.zeros(2), np.array([[1.0, 0.0], [1e200, 1.0]]))
+    far = GaussianVariational(np.full(2, 1e300), np.eye(2))
+    s = [random_state(rng, 2) for _ in range(4)]
+
+    def stack(*states):
+        return _Chains(*(np.stack([getattr(q, a) for q in states]) for a in ("mean", "scale")))
+
+    pending = [([0, 1], stack(s[0], s[1])), ([0, 1], stack(overflowing, s[2])), ([1], stack(far)), ([0], stack(s[3]))]
+    w2 = [[], []]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _flush_w2(q_star, _sqrt_and_inv_sqrt(q_star.sigma), pending, w2)
+    assert pending == []
+    direct = [w2_distance_sq(q_star, q) for q in s]
+    assert w2 == [[direct[0], math.inf, direct[3]], [direct[1], direct[2], math.inf]]
