@@ -19,11 +19,9 @@ from .diagnostics import (
 from .errors import (
     BwviError,
     DimensionMismatch,
-    IndefiniteMatrix,
     InvalidParameters,
     LabelError,
     NotPositiveDefinite,
-    NotSymmetric,
     ParseError,
 )
 from .estimators import (
@@ -36,7 +34,6 @@ from .geometry import (
     GaussianVariational,
     cholesky_factor,
     entropy,
-    matrix_sqrt_psd,
     optimal_transport_map,
     sample,
     w2_distance_sq,

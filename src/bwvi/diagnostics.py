@@ -98,15 +98,13 @@ def free_energy_mc(
 ) -> FreeEnergyEstimate:
     """Estimate ``F(q)`` with ``n_samples`` fresh draws.
 
-    Reproducible given the seed (an int, ``SeedSequence``, or
-    ``Generator``).
+    Reproducible given the seed (anything ``np.random.default_rng`` takes).
     """
     if n_samples < 2:
         raise InvalidParameters(f"n_samples must be >= 2, got {n_samples}")
     if q.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q.dim} != target dimension {target.dim}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = sample(q, rng.standard_normal((n_samples, q.dim)))
+    z = sample(q, np.random.default_rng(seed).standard_normal((n_samples, q.dim)))
     value, std_error = _energy_estimate(q, np.asarray(target.value(z), dtype=float))
     return FreeEnergyEstimate(float(value), float(std_error), n_samples)
 

@@ -13,15 +13,6 @@ class NotPositiveDefinite(BwviError):
     """A matrix required to be positive definite is not (numerically)."""
 
 
-class NotSymmetric(BwviError):
-    """A matrix required to be symmetric deviates beyond tolerance."""
-
-
-class IndefiniteMatrix(BwviError):
-    """A matrix required to be positive semi-definite has a significantly
-    negative eigenvalue."""
-
-
 class InvalidParameters(BwviError):
     """A scalar or structural argument violates its contract."""
 

@@ -28,9 +28,10 @@ of states), make one ``target.evaluate`` call at ``Z = C eps + m``, and
 Price and exact gradients share one assembly from the mean Hessian.  The
 optimizers pass the private forms the evaluation they have already made.
 
-Noise is counter-based: a batch is reproduced exactly from its lineage
-``(seed, stream, iteration)``, which is what makes paired comparisons
-across estimators and bit-identical reruns possible.
+Noise is drawn per lineage ``(seed, stream, iteration)``: PCG64 seeded by
+the hash ``SeedSequence(seed, spawn_key=(stream, iteration))``, so a batch
+is reproduced exactly from its lineage, which is what makes paired
+comparisons across estimators and bit-identical reruns possible.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class EstimatorKind(str, enum.Enum):
 
 
 def draw_noise(dim: int, n_samples: int, seed: int, stream: int = 0, iteration: int = 0) -> np.ndarray:
-    """Draw ``n_samples`` standard-normal vectors from a counter-based stream.
+    """Draw ``n_samples`` standard-normal vectors from the lineage's PCG64
+    generator, seeded by ``SeedSequence(seed, spawn_key=(stream, iteration))``.
 
     Returns a read-only ``(n_samples, dim)`` array.  Identical
     ``(seed, stream, iteration)`` lineage yields bit-identical draws;

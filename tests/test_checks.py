@@ -14,7 +14,13 @@ import numpy as np
 from bwvi import checks
 from bwvi.checks import _random_state
 from bwvi.diagnostics import bregman_energy_quadratic
-from bwvi.geometry import GaussianVariational, optimal_transport_map, sample, w2_distance_sq
+from bwvi.geometry import (
+    GaussianVariational,
+    cholesky_factor,
+    optimal_transport_map,
+    sample,
+    w2_distance_sq,
+)
 from bwvi.optimizers import entropy_prox, jko_entropy, spbwgd_step, spgd_step
 from bwvi.targets import quadratic_optimum, random_quadratic
 
@@ -47,8 +53,8 @@ def nonexpansion_loop(pairs):
         q = _random_state(rng, dim, mean_scale=2.0)
         before = math.sqrt(w2_distance_sq(p, q))
         for gamma in (0.01, 0.1, 1.0):
-            p2 = GaussianVariational.from_covariance(p.mean, jko_entropy(p.sigma, gamma))
-            q2 = GaussianVariational.from_covariance(q.mean, jko_entropy(q.sigma, gamma))
+            p2 = GaussianVariational(p.mean, cholesky_factor(jko_entropy(p.sigma, gamma)))
+            q2 = GaussianVariational(q.mean, cholesky_factor(jko_entropy(q.sigma, gamma)))
             worst_jko = max(worst_jko, math.sqrt(w2_distance_sq(p2, q2)) - before)
 
     worst_prox = -math.inf

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bwvi
+import bwvi.errors
 
 MODULES = ["bwvi"] + [f"bwvi.{info.name}" for info in pkgutil.iter_modules(bwvi.__path__)]
 
@@ -26,3 +29,19 @@ def test_runtime_imports_no_scipy():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is a public name nothing needs
+    raised = {
+        node.exc.func.id
+        for path in Path(bwvi.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+    }
+    classes = {
+        name for name, cls in inspect.getmembers(bwvi.errors, inspect.isclass)
+        if issubclass(cls, bwvi.errors.BwviError) and cls is not bwvi.errors.BwviError
+    }
+    assert sorted(classes - raised) == []

@@ -468,3 +468,17 @@ class TestTraceColumns:
         assert cli.main(["run", str(config_path), "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert rows and all(row[6] == "inf" for row in rows)
+
+    def test_w2_column_finite_for_an_ill_conditioned_target(self, tmp_path):
+        # Round-off in the W2 record's congruence at kappa = 1e12 is clipped,
+        # so the run records its divergence at t = 1 and exits 0.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(quadratic_config(
+            target={"kind": "quadratic", "dim": 5, "condition_number": 1e12, "seed": 0},
+            algorithm="spbwgd", schedule={"kind": "constant", "gamma": 1e-3}, iterations=3,
+        )))
+        out = tmp_path / "trace.csv"
+        assert cli.main(["run", str(config_path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(row[2], row[-1]) for row in rows] == [("0", "false"), ("1", "true")]
+        assert all(math.isfinite(float(row[6])) for row in rows)

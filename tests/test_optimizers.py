@@ -364,6 +364,16 @@ class TestRunDriver:
             param_dist = float(np.sum((parameter_vector(q) - lam_star) ** 2))
             assert param_dist >= w2_distance_sq(q, q_star) - 1e-10
 
+    def test_ill_conditioned_w2_record_is_finite(self):
+        # At kappa = 1e12 the congruence under the W2 record's square root
+        # has eigenvalues far below 0 from round-off alone; they are clipped.
+        config = OptimizerConfig(algorithm="spbwgd", max_iters=3)
+        target = random_quadratic(5, 1e12, seed=0)
+        q0 = GaussianVariational.isotropic(5, 0.0, 0.34)
+        trace = run(config, target, q0, constant_schedule(1e-3), seed=0)
+        assert trace.diverged and list(trace.records.t) == [0, 1]
+        assert np.isfinite(trace.w2_history).all()
+
     def test_minibatch_free_energy_recorded(self):
         target, q0 = self.make_setup()
         config = OptimizerConfig(max_iters=5, minibatch=16)
@@ -371,6 +381,30 @@ class TestRunDriver:
         for rec in trace.records:
             assert math.isfinite(rec.free_energy)
             assert rec.free_energy_se > 0.0
+
+
+class TestCrossGeometry:
+    """In d = 1 a scale step and a covariance step are the same step while
+    the gradient step keeps the scale positive: the entropy prox's root
+    squared is the JKO's spectrum map, and ``(M C)^2`` is ``(C - gamma g_C)^2``.
+    Reparam leaves this out at larger steps, where a draw can flip the
+    scale's sign and the prox takes its ``gamma / s`` root."""
+
+    @pytest.mark.parametrize("estimator,gamma", [
+        *[(e, g) for e in ("bonnet_price", "exact") for g in (1e-3, 0.1, 0.4)],
+        ("bonnet_reparam", 1e-3),
+    ])
+    def test_spgd_and_spbwgd_agree_in_one_dimension(self, estimator, gamma):
+        target = random_quadratic(1, 1.0, seed=3, strong_convexity=2.0)
+        q0 = GaussianVariational.isotropic(1, 0.0, 0.34)
+        spgd, spbwgd = (
+            run(OptimizerConfig(algorithm=a, estimator=estimator, max_iters=300),
+                target, q0, constant_schedule(gamma), seed=5)
+            for a in ("spgd", "spbwgd")
+        )
+        assert not spgd.diverged and len(spgd.records) == len(spbwgd.records) == 301
+        np.testing.assert_allclose(spbwgd.free_energy_history, spgd.free_energy_history, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(spbwgd.final_state.scale, spgd.final_state.scale, rtol=1e-12, atol=0)
 
 
 @dataclass(frozen=True)
