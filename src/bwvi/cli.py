@@ -102,7 +102,12 @@ def cmd_sweep(args) -> int:
     if args.points == 1:
         grid = np.array([args.gamma_min])
     else:
-        grid = np.geomspace(args.gamma_min, args.gamma_max, args.points)
+        try:
+            grid = np.geomspace(args.gamma_min, args.gamma_max, args.points)
+        except (ValueError, MemoryError) as err:  # beyond numpy's largest array
+            raise InvalidParameters(
+                f"argument '--points': {args.points} grid points do not fit in memory"
+            ) from err
     results = execute_sweep(config, grid, workers=args.workers)
     out = _output_path(config, args.out, "sweep.csv")
     _write_csv(out, SWEEP_HEADER, format_sweep_rows(results))

@@ -337,7 +337,12 @@ def _run_sweep_pair(
         value = None
         if not trace.diverged:
             eval_seed = np.random.SeedSequence(trace.seed, spawn_key=(_EVAL_STREAM_OFFSET + trace.stream,))
-            value = free_energy_mc(trace.final_state, target, config.eval_samples, eval_seed).value
+            try:
+                value = free_energy_mc(trace.final_state, target, config.eval_samples, eval_seed).value
+            except (ValueError, MemoryError) as err:  # beyond numpy's largest array
+                raise InvalidParameters(
+                    f"config field 'eval_samples': {config.eval_samples} draws do not fit in memory"
+                ) from err
         finite = value is not None and math.isfinite(value)
         results.append(SweepResult(cell, trace.seed, value if finite else None, not finite))
     return results

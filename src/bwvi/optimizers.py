@@ -35,7 +35,7 @@ from .errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite
 from .estimators import (
     EstimatorKind,
     _bw_gradient,
-    _noise_generator,
+    _LockStepNoise,
     _param_gradient,
 )
 from .geometry import (
@@ -294,6 +294,12 @@ def run_batch(
     not raising, at a non-finite or runaway free energy, a non-positive
     step size or a new state that fails the state checks (a failed step's
     state is NaN), keeping its last valid state.
+
+    The noise of a stochastic run comes from one ``_LockStepNoise``, which
+    hashes the live chains' lineages for a block of iterations at once and
+    gives each chain ``draw_noise(d, M, seed, stream, t)`` bit for bit.  A
+    seed of 2**128 or more, or a stream or ``t`` of 2**32 or more, takes
+    ``draw_noise``'s one ``SeedSequence`` per draw instead.
     """
     if q0.dim != target.dim:
         raise DimensionMismatch(f"state dimension {q0.dim} != target dimension {target.dim}")
@@ -314,6 +320,8 @@ def run_batch(
     q = _Chains(*(np.repeat(a[None], len(live), axis=0) for a in (q0.mean, q0.scale)))
     price = config.estimator is EstimatorKind.BONNET_PRICE
     eps = evaluation = None
+    if not exact:
+        noise = _LockStepNoise([(seed, stream) for _, seed, stream in chains], config.minibatch, q0.dim)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(config.max_iters + 1):
             gammas = [chains[c][0].step_at(t) for c in live]
@@ -321,9 +329,7 @@ def run_batch(
                 fe, se = free_energy_exact_quadratic(q, target), np.zeros(len(live))
             else:
                 # Row by row, the draws of draw_noise(d, M, seed, stream, t).
-                eps = np.empty((len(live), config.minibatch, q0.dim))
-                for row, c in enumerate(live):
-                    _noise_generator(chains[c][1], chains[c][2], t).standard_normal(out=eps[row])
+                eps = noise.draw(live, t)
                 evaluation = target.evaluate(sample(q, eps), price)
                 fe, se = _energy_estimate(q, evaluation[0])
             fe = fe.tolist()

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import bwvi.estimators
 from bwvi.errors import DimensionMismatch, InvalidParameters
 from bwvi.estimators import (
     EstimatorKind,
+    _LockStepNoise,
     bw_gradient,
     draw_noise,
     param_gradient,
@@ -53,6 +55,123 @@ class TestNoise:
     def test_rejects_empty_batch(self):
         with pytest.raises(InvalidParameters):
             draw_noise(2, 0, seed=0)
+
+
+def expected_words(seed, stream, t) -> list[int]:
+    """numpy's own ``generate_state(8, uint32)`` words of the lineage, in the
+    ``uint64`` pairs that seed PCG64: initstate high and low, initseq high
+    and low."""
+    w = np.random.SeedSequence(seed, spawn_key=(stream, t)).generate_state(8, np.uint32)
+    return [int(lo) | int(hi) << 32 for lo, hi in zip(w[0::2], w[1::2])]
+
+
+def random_lineages(rng, n) -> list[tuple[int, int]]:
+    """Seeds of one to four entropy words and streams of one word."""
+    bits = rng.choice([31, 32, 64, 96, 128], size=n)
+    return [
+        (int.from_bytes(rng.bytes(16), "little") >> (128 - int(b)), int(rng.integers(0, 2**32)))
+        for b in bits
+    ]
+
+
+class CountingGenerator:
+    """A noise generator that notes each lineage it is asked for."""
+
+    def __init__(self, generator):
+        self.generator, self.calls = generator, []
+
+    def __call__(self, *lineage):
+        self.calls.append(lineage)
+        return self.generator(*lineage)
+
+
+class TestLockStepNoise:
+    """The lock-step source re-implements ``SeedSequence``'s hash of ``t`` and
+    PCG64's seeding, so a numpy whose streams differ fails here."""
+
+    @pytest.mark.parametrize("t", [0, 1, 63, 64, 1000, 10**6 - 1, 10**6, 2**31, 2**32 - 64])
+    def test_state_words_equal_seed_sequence(self, t):
+        rng = np.random.default_rng(t)
+        lineages = random_lineages(rng, 60) + [(0, 0), (2**128 - 1, 2**32 - 1)]
+        noise = _LockStepNoise(lineages, 1, 1)
+        noise._hash_block(list(range(len(lineages))), t)
+        assert noise._stop - noise._start == 64
+        for c, (seed, stream) in enumerate(lineages):
+            for k in (0, 1, 37, 63):
+                assert noise._words[c][k] == expected_words(seed, stream, t + k), (seed, stream, t + k)
+
+    def test_block_ends_at_the_last_one_word_iteration(self):
+        noise = _LockStepNoise([(5, 7)], 1, 1)
+        noise._hash_block([0], 2**32 - 3)
+        assert noise._stop == 2**32
+        assert noise._words[0][-1] == expected_words(5, 7, 2**32 - 1)
+
+    def test_rows_equal_draw_noise_across_blocks(self):
+        rng = np.random.default_rng(17)
+        lineages = random_lineages(rng, 40)
+        noise = _LockStepNoise(lineages, 3, 2)
+        for t in [*range(0, 130), 10**6 - 1, 10**6]:
+            eps = noise.draw(list(range(len(lineages))), t)
+            assert eps.shape == (len(lineages), 3, 2)
+            for row, (seed, stream) in enumerate(lineages):
+                assert eps[row].tobytes() == draw_noise(2, 3, seed, stream, t).tobytes()
+
+    def test_chains_frozen_mid_block(self):
+        lineages = [(3, 0), (3, 1), (2**64 + 5, 2), (9, 2**32 - 1)]
+        noise = _LockStepNoise(lineages, 4, 3)
+        live = [0, 1, 2, 3]
+        for t in range(0, 140):
+            if t == 70:  # mid-block: the block was hashed for all four
+                live = [0, 2, 3]
+            if t == 100:
+                live = [3]
+            eps = noise.draw(live, t)
+            for row, c in enumerate(live):
+                assert eps[row].tobytes() == draw_noise(3, 4, *lineages[c], t).tobytes()
+
+    @pytest.mark.parametrize("near, far", [
+        ((2**128 - 1, 0, 5), (2**128, 0, 5)),
+        ((6, 2**32 - 1, 5), (6, 2**32, 5)),
+        ((6, 3, 2**32 - 1), (6, 3, 2**32)),
+    ])
+    def test_each_boundary_from_both_sides(self, monkeypatch, near, far):
+        generator = CountingGenerator(bwvi.estimators._noise_generator)
+        monkeypatch.setattr(bwvi.estimators, "_noise_generator", generator)
+        for (seed, stream, t), fallback in ((near, False), (far, True)):
+            generator.calls.clear()
+            eps = _LockStepNoise([(seed, stream), (11, 1)], 8, 2).draw([0, 1], t)
+            # at t >= 2**32 every lineage falls back, the neighbour's too
+            expected = [(seed, stream, t)] + ([(11, 1, t)] if t >= 2**32 else [])
+            assert generator.calls == (expected if fallback else [])
+            assert eps[0].tobytes() == draw_noise(2, 8, seed, stream, t).tobytes()
+            assert eps[1].tobytes() == draw_noise(2, 8, 11, 1, t).tobytes()
+
+    def test_fallback_and_fast_rows_mixed(self):
+        lineages = [(2**128 + 3, 0), (4, 0), (4, 2**40), (2**200, 2**33), (2**127, 1)]
+        noise = _LockStepNoise(lineages, 2, 2)
+        assert sorted(noise._pools) == [1, 4]
+        for t in (0, 1, 64, 65):
+            eps = noise.draw(list(range(5)), t)
+            for row, lineage in enumerate(lineages):
+                assert eps[row].tobytes() == draw_noise(2, 2, *lineage, t).tobytes()
+
+    def test_numpy_integer_lineages_take_the_hash(self):
+        noise = _LockStepNoise([(np.uint64(2**64 - 1), np.int64(3)), (np.int64(-1), 0), (5.0, 0)], 2, 2)
+        assert sorted(noise._pools) == [0]
+        eps = noise.draw([0], 9)
+        assert eps[0].tobytes() == draw_noise(2, 2, 2**64 - 1, 3, 9).tobytes()
+
+    def test_negative_seed_raises_as_draw_noise(self):
+        noise = _LockStepNoise([(-1, 0)], 2, 2)
+        with pytest.raises(ValueError) as lock_step:
+            noise.draw([0], 0)
+        with pytest.raises(ValueError) as reference:
+            draw_noise(2, 2, -1)
+        assert str(lock_step.value) == str(reference.value)
+
+    def test_oversized_noise_is_a_config_error(self):
+        with pytest.raises(InvalidParameters, match="minibatch 100000000000000000000"):
+            _LockStepNoise([(0, 0)], 10**20, 5).draw([0], 0)
 
 
 def single_draw(vec):

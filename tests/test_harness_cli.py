@@ -123,6 +123,23 @@ class TestMalformedInput:
         assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
         assert "config error: the configured sizes do not fit in memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, overrides, flags, field", [
+        ("run", {"minibatch": 10**20}, [], "minibatch"),
+        ("sweep", {"minibatch": 10**20}, ["--points", "2"], "minibatch"),
+        ("sweep", {"eval_samples": 10**20}, ["--points", "2"], "eval_samples"),
+        ("sweep", {}, ["--points", str(10**20)], "--points"),
+    ])
+    def test_sizes_beyond_numpy_arrays_exit_2_naming_the_field(
+        self, tmp_path, capsys, command, overrides, flags, field
+    ):
+        # numpy raises ValueError, not MemoryError, for these sizes
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(quadratic_config(**overrides)))
+        argv = [command, str(config_path), *flags, "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err and "fit in memory" in err
+
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     def test_zero_workers_exits_2(self, tmp_path, capsys, command):
         config_path = tmp_path / "config.json"

@@ -406,6 +406,38 @@ class TestCrossGeometry:
         np.testing.assert_allclose(spbwgd.free_energy_history, spgd.free_energy_history, rtol=1e-12, atol=0)
         np.testing.assert_allclose(spbwgd.final_state.scale, spgd.final_state.scale, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("estimator", ["bonnet_price", "exact"])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1])
+    def test_spgd_and_spbwgd_agree_on_an_axis_aligned_quadratic(self, estimator, gamma):
+        # Price and exact steps keep a diagonal scale diagonal here, so each
+        # coordinate takes the one-dimensional step above.  The centre at 0
+        # keeps every free energy beyond 0.8 in magnitude, where a relative
+        # tolerance means something.
+        target = QuadraticPotential(np.diag([0.5, 1.0, 2.0, 4.0]), np.zeros(4))
+        q0 = GaussianVariational.isotropic(4, 0.0, 0.34)
+        spgd, spbwgd = (
+            run(OptimizerConfig(algorithm=a, estimator=estimator, max_iters=300),
+                target, q0, constant_schedule(gamma), seed=5)
+            for a in ("spgd", "spbwgd")
+        )
+        assert not spgd.diverged and len(spgd.records) == len(spbwgd.records) == 301
+        np.testing.assert_allclose(spbwgd.free_energy_history, spgd.free_energy_history, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(spbwgd.final_state.scale, spgd.final_state.scale, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("estimator", ["bonnet_price", "exact"])
+    def test_negative_pre_prox_scale_is_where_the_geometries_differ(self, estimator):
+        # c = C - gamma g_C = 1 - 0.5 * 4 = -1 in both geometries; SPBWGD's
+        # (M C)^2 drops its sign and takes the larger root s, SPGD's prox
+        # takes the positive root of x^2 - c x - gamma, which is gamma / s.
+        target = QuadraticPotential(np.array([[4.0]]), np.array([0.0]))
+        q, gamma = GaussianVariational.isotropic(1, 0.0, 1.0), 0.5
+        eps = None if estimator == "exact" else draw_noise(1, 4, seed=0)
+        s = (1.0 + math.sqrt(1.0 + 4.0 * gamma)) / 2.0
+        spgd = spgd_step(q, target, eps, gamma, estimator).scale.item()
+        spbwgd = spbwgd_step(q, target, eps, gamma, estimator).scale.item()
+        assert spgd == pytest.approx(gamma / s, rel=1e-15)
+        assert spbwgd == pytest.approx(s, rel=1e-15)
+
 
 @dataclass(frozen=True)
 class TrippedQuadratic(QuadraticPotential):
@@ -453,6 +485,17 @@ def assert_same_trace(a, b):
     np.testing.assert_array_equal(a.final_state.mean, b.final_state.mean)
     np.testing.assert_array_equal(a.final_state.scale, b.final_state.scale)
     assert (a.diverged, a.seed, a.stream) == (b.diverged, b.seed, b.stream)
+
+
+class SeedSequenceNoise:
+    """The lock-step noise source's reference: ``draw_noise``, one
+    ``SeedSequence`` and ``PCG64`` per row."""
+
+    def __init__(self, lineages, n_samples, dim):
+        self.lineages, self.n_samples, self.dim = lineages, n_samples, dim
+
+    def draw(self, live, t):
+        return np.stack([draw_noise(self.dim, self.n_samples, *self.lineages[c], t) for c in live])
 
 
 PAIRS = [(a, e) for a in Algorithm for e in (EstimatorKind.BONNET_PRICE, EstimatorKind.BONNET_REPARAM)]
@@ -532,6 +575,22 @@ class TestRunBatch:
         assert traces[1].records[-1].t == 7 and traces[1].records[-1].gamma == 0.0
         for chain, trace in zip(chains, traces):
             assert_same_trace(trace, run(config, target, q0, *chain))
+
+    @pytest.mark.parametrize("algorithm, estimator", PAIRS)
+    def test_stack_mixing_fast_and_fallback_lineages(self, monkeypatch, algorithm, estimator):
+        # Lineages on both sides of each one-word boundary, and step sizes
+        # that freeze chains inside and across the noise source's blocks.
+        config, target, q0, _ = self.batch(algorithm, estimator)
+        lineages = [(3, 0), (2**128 - 1, 2**32 - 1), (2**128, 4), (7, 2**32), (11, 5)]
+        gammas = (1e-3, 0.05, 0.3, 1e4, 0.05)
+        chains = [(constant_schedule(g), *lineage) for g, lineage in zip(gammas, lineages)]
+        traces = run_batch(config, target, q0, chains)
+        assert {t.diverged for t in traces} == {False, True}
+        for chain, trace in zip(chains, traces):
+            assert_same_trace(trace, run(config, target, q0, *chain))
+        monkeypatch.setattr(bwvi.optimizers, "_LockStepNoise", SeedSequenceNoise)
+        for trace, reference in zip(traces, run_batch(config, target, q0, chains)):
+            assert_same_trace(trace, reference)
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_stack_with_bad_rows(self, algorithm):
