@@ -46,8 +46,10 @@ EXIT_IO = 3
 
 def _load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+    except UnicodeDecodeError as err:
+        raise InvalidParameters(f"config file {path}: not UTF-8 text ({err.reason})") from err
     except json.JSONDecodeError as err:
         raise InvalidParameters(f"config file {path}: invalid JSON ({err})") from err
     config = parse_experiment_config(raw)

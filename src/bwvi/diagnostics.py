@@ -87,9 +87,10 @@ def _energy_estimate(q: GaussianVariational, u: np.ndarray):
     bit for bit, without their dispatch."""
     n = u.shape[-1]
     mean = np.add.reduce(u, axis=-1, keepdims=True) / n
-    se = np.zeros(u.shape[:-1])
     if n > 1:
         se = np.sqrt(np.add.reduce(np.square(u - mean), axis=-1) / (n - 1)) / math.sqrt(n)
+    else:
+        se = np.zeros(u.shape[:-1])
     return mean[..., 0] + entropy(q), se
 
 
@@ -120,7 +121,7 @@ def free_energy_exact_quadratic(q: GaussianVariational, target: QuadraticPotenti
     row = (q.mean - target.center)[..., None, :]
     ac = target.precision @ q.scale
     quad = (row @ target.precision @ _t(row))[..., 0, 0]
-    return 0.5 * quad + 0.5 * (ac * q.scale).sum(axis=(-2, -1)) + entropy(q)
+    return 0.5 * quad + 0.5 * np.add.reduce(ac * q.scale, axis=(-2, -1)) + entropy(q)
 
 
 def bregman_energy_quadratic(

@@ -236,7 +236,8 @@ def _oracle(
             raise DimensionMismatch(f"noise must have shape (M, d) with M >= 1, got {eps.shape}")
         evaluation = target.evaluate(sample(q, eps), price)
     _, g, mean_hess = evaluation
-    return g.mean(axis=-2), mean_hess, None if price else g
+    # ``g.mean(axis=-2)`` without its dispatch: numpy's mean is this sum and division
+    return np.add.reduce(g, axis=-2) / g.shape[-2], mean_hess, None if price else g
 
 
 def param_gradient(

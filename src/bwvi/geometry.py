@@ -55,6 +55,14 @@ def _strict_upper(d: int) -> np.ndarray:
     return np.triu(np.ones((d, d), dtype=bool), k=1)
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """The ``(d, d)`` identity (read-only, shared)."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _tril(a: np.ndarray) -> np.ndarray:
     """``np.tril(a)`` of a matrix or of each matrix in a stack."""
     return np.where(_strict_upper(a.shape[-1]), 0.0, a)
@@ -67,9 +75,11 @@ def _check_square(a: np.ndarray):
 
 def _state_checks(mean: np.ndarray, scale: np.ndarray):
     """Per chain: finite entries, zero upper triangle, positive diagonal."""
-    finite = np.isfinite(mean).all(axis=-1) & np.isfinite(scale).all(axis=(-2, -1))
-    lower = ~scale[..., _strict_upper(scale.shape[-1])].any(axis=-1)
-    positive = (scale.diagonal(axis1=-2, axis2=-1) > 0.0).all(axis=-1)
+    # ``.all``/``.any`` are these reductions behind a Python-level wrapper
+    finite = np.logical_and.reduce(np.isfinite(mean), axis=-1)
+    finite &= np.logical_and.reduce(np.isfinite(scale), axis=(-2, -1))
+    lower = ~np.logical_or.reduce(scale[..., _strict_upper(scale.shape[-1])], axis=-1)
+    positive = np.logical_and.reduce(scale.diagonal(axis1=-2, axis2=-1) > 0.0, axis=-1)
     return finite, lower, positive
 
 
@@ -161,10 +171,10 @@ def _sqrt_symmetric(a: np.ndarray) -> np.ndarray:
     round-off below 0 in a matrix PSD by construction still gives a root.
     ``NotPositiveDefinite`` for a non-finite entry, on which ``eigh`` can
     return garbage rather than fail."""
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NotPositiveDefinite("matrix entries must be finite")
     w, v = np.linalg.eigh(a)
-    root = (v * np.sqrt(w.clip(0.0, None))[..., None, :]) @ _t(v)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _t(v)
     return symmetrize(root)
 
 
@@ -195,14 +205,14 @@ def _displacement(
     coupling from p to q; the coupling's second moments are quadratic forms
     in them."""
     s = _transport_linear(p_roots, q)
-    return (np.eye(p.dim) - s) @ p.scale, q.mean - p.mean
+    return (_identity(p.dim) - s) @ p.scale, q.mean - p.mean
 
 
 def _coupling_cost(p: GaussianVariational, p_roots: _Roots, q: GaussianVariational):
     """Cost ``||m_q - m_p||^2 + ||(I - S) C_p||_F^2`` of the optimal coupling."""
     residual, dm = _displacement(p, p_roots, q)
     dm_sq = (dm[..., None, :] @ dm[..., :, None])[..., 0, 0]  # ``dm @ dm`` per chain
-    return dm_sq + (residual * residual).sum(axis=(-2, -1))
+    return dm_sq + np.add.reduce(residual * residual, axis=(-2, -1))
 
 
 def _w2_sq(p: GaussianVariational, q: GaussianVariational):
@@ -246,7 +256,7 @@ def entropy(q: GaussianVariational) -> float:
     Exact: ``-(d/2) log(2 pi e) - sum_i log C_ii``.
     """
     log_diag = np.log(q.scale.diagonal(axis1=-2, axis2=-1))
-    return -0.5 * q.dim * (LOG_2PI + 1.0) - log_diag.sum(axis=-1)
+    return -0.5 * q.dim * (LOG_2PI + 1.0) - np.add.reduce(log_diag, axis=-1)
 
 
 def sample(q: GaussianVariational, noise: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .diagnostics import free_energy_mc
-from .errors import InvalidParameters
+from .errors import InvalidParameters, NotPositiveDefinite
 from .estimators import EstimatorKind
 from .geometry import GaussianVariational, w2_distance_sq
 from .optimizers import Algorithm, OptimizerConfig, RunTrace, run_batch
@@ -259,8 +259,13 @@ def build_schedule(
     if "delta_sq" in spec:
         delta_sq = float(spec["delta_sq"])
     elif isinstance(target, QuadraticPotential):
-        with np.errstate(over="ignore", invalid="ignore"):  # a far init.mean overflows it
-            w2 = w2_distance_sq(q0, quadratic_optimum(target))
+        # A far init.mean overflows the distance, a huge init.variance the
+        # covariance it is taken from: either way the distance is infinite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                w2 = w2_distance_sq(q0, quadratic_optimum(target))
+            except NotPositiveDefinite:
+                w2 = math.inf
         delta_sq = meta.strong_convexity * (w2 if math.isfinite(w2) else math.inf)
     else:
         raise InvalidParameters(

@@ -43,6 +43,7 @@ from .geometry import (
     _Chains,
     _coupling_cost,
     _check_square,
+    _identity,
     _sqrt_and_inv_sqrt,
     _state_checks,
     _t,
@@ -92,8 +93,12 @@ def entropy_prox(scale: np.ndarray, gamma: float) -> np.ndarray:
     the prox repairs them by construction.  A stack of scale factors takes
     one step size per factor.
     """
-    gamma = _positive(gamma)[..., None]
-    scale = np.asarray(scale, dtype=float)
+    return _prox(np.asarray(scale, dtype=float), _positive(gamma))
+
+
+def _prox(scale: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``entropy_prox`` unchecked: a NaN step size gives a NaN diagonal."""
+    gamma = gamma[..., None]
     d = scale.shape[-1]
     diag = scale.diagonal(axis1=-2, axis2=-1)
     root = 0.5 * (abs(diag) + np.sqrt(diag * diag + 4.0 * gamma))
@@ -130,9 +135,9 @@ def jko_entropy(sigma: np.ndarray, gamma: float) -> np.ndarray:
 def _jko(sigma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """``jko_entropy`` unchecked, NaN for a matrix with a non-finite entry."""
     sigma = symmetrize(sigma)
-    finite = np.isfinite(sigma).all(axis=(-2, -1))[..., None]
+    finite = np.logical_and.reduce(np.isfinite(sigma), axis=(-2, -1))[..., None]
     w, v = np.linalg.eigh(np.where(finite[..., None], sigma, 0.0))
-    w, g = w.clip(0.0, None), gamma[..., None]
+    w, g = np.maximum(w, 0.0), gamma[..., None]
     w = np.where(finite, 0.5 * (w + 2.0 * g + np.sqrt(w * (w + 4.0 * g))), np.nan)
     return symmetrize((v * w[..., None, :]) @ _t(v))
 
@@ -156,10 +161,10 @@ def _step(algorithm, kind, target, q, eps, evaluation, gamma) -> tuple[np.ndarra
     gamma = np.asarray(gamma, dtype=float)
     if algorithm is Algorithm.SPGD:
         location_grad, scale_grad = _param_gradient(kind, target, q, eps, evaluation)
-        scale = entropy_prox(q.scale - gamma[..., None, None] * scale_grad, gamma)
+        scale = _prox(q.scale - gamma[..., None, None] * scale_grad, gamma)
     else:
         location_grad, covariance_grad = _bw_gradient(kind, target, q, eps, evaluation)
-        m_factor = np.eye(q.dim) - 2.0 * gamma[..., None, None] * covariance_grad
+        m_factor = _identity(q.dim) - 2.0 * gamma[..., None, None] * covariance_grad
         half_factor = m_factor @ q.scale
         scale = _cholesky(_jko(half_factor @ _t(half_factor), gamma))
     return q.mean - gamma[..., None] * location_grad, scale
@@ -351,7 +356,8 @@ def run_batch(
             # non-positive step size is taken as NaN, which no state passes.
             steps = [g if g > 0.0 else math.nan for g in gammas]
             mean, scale = _step(config.algorithm, config.estimator, target, q, eps, evaluation, steps)
-            valid = np.logical_and.reduce(_state_checks(mean, scale)).tolist()
+            finite, lower, positive = _state_checks(mean, scale)
+            valid = (finite & lower & positive).tolist()
             failed = [b or not v for b, v in zip(bad, valid)]
             if any(failed):
                 for row in np.flatnonzero(failed):

@@ -13,6 +13,7 @@ and the intended problem sizes are small (d up to a few hundred).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .errors import (
     NotPositiveDefinite,
     ParseError,
 )
-from .geometry import GaussianVariational, cholesky_factor, symmetrize
+from .geometry import GaussianVariational, _identity, cholesky_factor, symmetrize
 
 __all__ = [
     "PotentialMetadata",
@@ -135,7 +136,7 @@ class QuadraticPotential(Potential):
     def evaluate(self, z, hessian):
         diff = self._check_point(z) - self.center
         g = diff @ self.precision
-        values = 0.5 * np.sum(np.multiply(diff, g, out=diff), axis=-1)
+        values = 0.5 * np.add.reduce(np.multiply(diff, g, out=diff), axis=-1)
         return values, g, self.precision.copy() if hessian else None
 
     def exact_gradients(self, q: GaussianVariational) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +217,7 @@ class LogisticRidgePotential(Potential):
         part = np.maximum(t, 0.0)
         loss += part
         loss -= np.multiply(self.labels, t, out=part)
-        return loss.sum(axis=-1) + 0.5 * self.ridge * np.sum(x * x, axis=-1)
+        return np.add.reduce(loss, axis=-1) + 0.5 * self.ridge * np.add.reduce(x * x, axis=-1)
 
     def evaluate(self, z, hessian):
         z = self._check_point(z)
@@ -224,15 +225,28 @@ class LogisticRidgePotential(Potential):
         s = _sigmoid(t, e)
         mean_hess = None
         if hessian:
-            w = (s * (1.0 - s)).mean(axis=-2)
+            w = np.add.reduce(s * (1.0 - s), axis=-2) / s.shape[-2]
             mean_hess = symmetrize(self.design.T @ (w[..., None] * self.design))
-            mean_hess += self.ridge * np.eye(self.dim)
+            mean_hess += self.ridge * _identity(self.dim)
         s -= self.labels
         return self._value(z, t, e), s @ self.design + self.ridge * z, mean_hess
 
     def value(self, x):
         x = self._check_point(x)
         return self._value(x, *self._logits(x))
+
+
+def _utf8_text(path) -> str:
+    """The file's text; ``ParseError`` naming the line of a byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the bytes before the bad one decode, and it sits on their last line
+        before = raw[: err.start].decode("utf-8") + "?"
+        line = len(io.StringIO(before, newline="").readlines())
+        raise ParseError(f"{path}:{line}: not UTF-8 text ({err.reason})") from err
 
 
 def load_logistic_dataset(path) -> tuple[np.ndarray, np.ndarray]:
@@ -245,12 +259,13 @@ def load_logistic_dataset(path) -> tuple[np.ndarray, np.ndarray]:
         ``(design, labels)`` with shapes ``(n, d)`` and ``(n,)``.
 
     Raises:
-        ParseError: malformed or non-finite numeric data, or no data rows.
+        ParseError: text that is not UTF-8, malformed or non-finite numeric
+            data, or no data rows.
         LabelError: a label outside {0, 1}.
         OSError: unreadable file.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with io.StringIO(_utf8_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2:

@@ -10,6 +10,7 @@ from bwvi.errors import DimensionMismatch, InvalidParameters
 from bwvi.estimators import (
     EstimatorKind,
     _LockStepNoise,
+    _oracle,
     bw_gradient,
     draw_noise,
     param_gradient,
@@ -462,6 +463,17 @@ class TestDispatch:
             b = param_gradient(kind, quad, state, draw_noise(5, 32, seed=15, iteration=3))
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
+
+
+class TestLocationMean:
+    @pytest.mark.parametrize("shape", [(1, 5), (8, 5), (1, 1, 3), (4, 8, 5), (3, 200, 2)])
+    def test_bitwise_equal_to_mean(self, quad, shape):
+        rng = np.random.default_rng(sum(shape))
+        g = rng.standard_normal(shape) * 10.0 ** rng.uniform(-100, 100, shape)
+        for kind in (PRICE, REPARAM):
+            loc = _oracle(kind, quad, None, None, (None, g, None))[0]
+            assert loc.shape == g.mean(axis=-2).shape
+            assert loc.tobytes() == g.mean(axis=-2).tobytes()
 
 
 class CountingPotential:

@@ -6,10 +6,12 @@ import scipy.linalg
 
 from bwvi.errors import DimensionMismatch, NotPositiveDefinite
 from bwvi.geometry import (
+    LOG_2PI,
     GaussianVariational,
     _Chains,
     _sqrt_and_inv_sqrt,
     _sqrt_symmetric,
+    _state_checks,
     _w2_sq,
     cholesky_factor,
     entropy,
@@ -53,6 +55,52 @@ class TestState:
         q = random_state(rng, 3)
         with pytest.raises(ValueError):
             q.mean[0] = 1.0
+
+
+def reference_state_checks(mean, scale):
+    """The state checks in their ``.all``/``.any`` form."""
+    upper = np.triu(np.ones(scale.shape[-2:], dtype=bool), k=1)
+    finite = np.isfinite(mean).all(axis=-1) & np.isfinite(scale).all(axis=(-2, -1))
+    lower = ~scale[..., upper].any(axis=-1)
+    positive = (scale.diagonal(axis1=-2, axis2=-1) > 0.0).all(axis=-1)
+    return finite, lower, positive
+
+
+#: Entries that sit on the edge of a check: non-finite, signed zeros and subnormals.
+EDGE_VALUES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.0)
+
+
+class TestStateChecks:
+    def edge_states(self, rng, dim):
+        """A valid state, then one copy per edge value put in the mean, on
+        the diagonal, above it and below it: means ``(B, d)``, scales ``(B, d, d)``."""
+        q = random_state(rng, dim)
+        means, scales = [q.mean], [q.scale]
+        places = [("mean", 0), ("scale", (dim - 1, dim - 1))]
+        if dim > 1:
+            places += [("scale", (0, dim - 1)), ("scale", (dim - 1, 0))]
+        for value in EDGE_VALUES:
+            for array, index in places:
+                mean, scale = q.mean.copy(), q.scale.copy()
+                (mean if array == "mean" else scale)[index] = value
+                means.append(mean)
+                scales.append(scale)
+        return np.stack(means), np.stack(scales)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_stack_equals_all_any_form(self, rng, dim):
+        means, scales = self.edge_states(rng, dim)
+        checks = _state_checks(means, scales)
+        for got, expected in zip(checks, reference_state_checks(means, scales)):
+            assert got.dtype == bool and got.shape == (len(means),)
+            np.testing.assert_array_equal(got, expected)
+        assert not np.logical_and.reduce(checks).all() and np.logical_and.reduce(checks).any()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_single_state_equals_all_any_form(self, rng, dim):
+        for mean, scale in zip(*self.edge_states(rng, dim)):
+            for got, expected in zip(_state_checks(mean, scale), reference_state_checks(mean, scale)):
+                assert type(got) is np.bool_ and got == expected
 
 
 class TestCholesky:
@@ -250,6 +298,17 @@ class TestEntropy:
         )
         se = log_q.std(ddof=1) / math.sqrt(n)
         assert abs(log_q.mean() - entropy(q)) <= 5.0 * se
+
+    @pytest.mark.parametrize("chains, dim", [((), 1), ((), 5), ((1,), 3), ((7,), 40)])
+    def test_bitwise_equal_to_sum_form(self, rng, chains, dim):
+        scale = np.tril(rng.standard_normal(chains + (dim, dim)))
+        idx = np.arange(dim)
+        scale[..., idx, idx] = 10.0 ** rng.uniform(-150, 150, chains + (dim,))
+        q = _Chains(np.zeros(chains + (dim,)), scale)
+        log_diag = np.log(scale.diagonal(axis1=-2, axis2=-1))
+        expected = -0.5 * dim * (LOG_2PI + 1.0) - log_diag.sum(axis=-1)
+        got = entropy(q)
+        assert np.shape(got) == chains and np.array_equal(got, expected)
 
 
 class TestSample:

@@ -204,7 +204,7 @@ def test_run_on_any_field_value_exits_0_2_or_3(tmp_path, target, schedule, path,
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) in (0, 2, 3)
 
 
-@pytest.mark.parametrize("field, value, code", [("mean", 1e300, 0), ("variance", 1.7e308, 2)])
+@pytest.mark.parametrize("field, value, code", [("mean", 1e300, 0), ("variance", 1.7e308, 0)])
 def test_overflowing_initial_distance_warns_nothing(tmp_path, field, value, code):
     # The theorem schedule's initial W2 overflows for these; it is handled
     # where it arises, without a RuntimeWarning.
@@ -215,6 +215,23 @@ def test_overflowing_initial_distance_warns_nothing(tmp_path, field, value, code
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == code
+
+
+def test_huge_initial_variance_is_an_infinite_distance(tmp_path):
+    # Sigma_0 = 1e308 I is finite, but the initial W2 is taken from its
+    # symmetrized covariance, which overflows: the theorem schedule gets an
+    # infinite distance and the run diverges, as with a far init.mean.
+    raw = quadratic_config(**QUADRATIC_THEOREM, iterations=3)
+    raw["init"]["variance"] = 1e308
+    config = parse_experiment_config(raw)
+    target = build_target(config)
+    schedule = build_schedule(config, target, build_initial_state(config, target.dim))
+    assert schedule.switch_time == math.inf
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", str(config_path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].endswith(",true")
 
 
 class TestRunCommand:
@@ -252,6 +269,22 @@ class TestRunCommand:
         config_path.write_text(json.dumps(config))
         assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
         assert f"{data}:3: non-finite value" in capsys.readouterr().err
+
+    def test_dataset_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "toy.csv"
+        data.write_bytes(b"a,b,y\r\n0.4,1.0,1\r\n-0.2,0.3,0\r\n\xff.5,1.0,1\r\n")
+        config = quadratic_config(target={"kind": "logistic", "dataset": str(data), "ridge": 0.1})
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert f"error: {data}:4: not UTF-8 text" in capsys.readouterr().err
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b"\xff\xfe" + json.dumps(quadratic_config()).encode("utf-16-le"))
+        assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {config_path}: not UTF-8 text")
 
     def test_invalid_config_is_config_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -422,7 +455,8 @@ class TestVerifyCommand:
 
     def test_mutated_prox_formula_fails_fixed_points(self, monkeypatch):
         # deliberately corrupt the prox diagonal (drop the square on C_ii);
-        # the fixed-point identity must catch it
+        # the fixed-point identity must catch it.  The step calls the
+        # kernel, not the checked entropy_prox.
         def corrupted(scale, gamma):
             scale = np.asarray(scale, dtype=float)
             out = np.tril(scale).copy()
@@ -430,7 +464,7 @@ class TestVerifyCommand:
             np.fill_diagonal(out, 0.5 * (diag + np.sqrt(np.abs(diag) + 4.0 * gamma)))
             return out
 
-        monkeypatch.setattr(bwvi.optimizers, "entropy_prox", corrupted)
+        monkeypatch.setattr(bwvi.optimizers, "_prox", corrupted)
         assert not check_fixed_points(instances=8).passed
 
     def test_mutated_jko_constant_fails_fixed_points(self, monkeypatch):

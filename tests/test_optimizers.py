@@ -471,13 +471,14 @@ class FirstStepHessians(QuadraticPotential):
 
 
 class ZeroAt:
-    """Step-size schedule that returns ``gamma`` except 0 at iteration ``t``."""
+    """Step-size schedule that returns ``gamma`` except ``value`` (0 unless
+    given) at iteration ``t``."""
 
-    def __init__(self, gamma, t):
-        self.gamma, self.t = gamma, t
+    def __init__(self, gamma, t, value=0.0):
+        self.gamma, self.t, self.value = gamma, t, value
 
     def step_at(self, t):
-        return 0.0 if t == self.t else self.gamma
+        return self.value if t == self.t else self.gamma
 
 
 def assert_same_trace(a, b):
@@ -591,6 +592,39 @@ class TestRunBatch:
         monkeypatch.setattr(bwvi.optimizers, "_LockStepNoise", SeedSequenceNoise)
         for trace, reference in zip(traces, run_batch(config, target, q0, chains)):
             assert_same_trace(trace, reference)
+
+    @settings(max_examples=100, deadline=5000)
+    @given(
+        algorithm=st.sampled_from(list(Algorithm)),
+        estimator=st.sampled_from(list(EstimatorKind)),
+        dim=st.integers(1, 6),
+        iterations=st.integers(0, 70),
+        variance=st.floats(1e-12, 1e8),
+        chains=st.lists(
+            st.tuples(
+                st.floats(1e-8, 1.0),
+                st.none() | st.tuples(st.integers(0, 70), st.sampled_from([0.0, math.nan])),
+                st.integers(0, 2**32) | st.sampled_from([2**128 - 1, 2**128]),
+                st.integers(0, 99) | st.sampled_from([2**32 - 1, 2**32]),
+            ),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_any_stack_row_equals_its_run_alone(
+        self, algorithm, estimator, dim, iterations, variance, chains
+    ):
+        # Lineages on both sides of the lock-step noise's limits, runs that
+        # cross its 64-iteration blocks and the W2 blocks, and a step of 0
+        # or NaN at some iteration through a stub schedule.
+        target = random_quadratic(dim, 10.0, seed=dim)
+        q0 = GaussianVariational.isotropic(dim, 0.5, variance)
+        config = OptimizerConfig(algorithm=algorithm, estimator=estimator, max_iters=iterations)
+        chains = [
+            (constant_schedule(gamma) if odd is None else ZeroAt(gamma, *odd), seed, stream)
+            for gamma, odd, seed, stream in chains
+        ]
+        for chain, trace in zip(chains, run_batch(config, target, q0, chains)):
+            assert_same_trace(trace, run(config, target, q0, *chain))
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_stack_with_bad_rows(self, algorithm):
