@@ -43,6 +43,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+_WORKERS_HELP = "processes for the sweep's four algorithm/estimator batches (at most 4 are used)"
+
 
 def _load_config(path: str) -> ExperimentConfig:
     try:
@@ -147,13 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gamma-min", type=float, default=1e-8)
     p_sweep.add_argument("--gamma-max", type=float, default=1.0)
     p_sweep.add_argument("--points", type=int, default=33)
-    p_sweep.add_argument("--workers", type=int, default=1, help="concurrent sweep cells")
+    p_sweep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_sweep.add_argument("--out", default=None, help="output CSV path (overrides config)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--workers", type=int, default=1, help="concurrent sweep cells")
+    p_verify.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

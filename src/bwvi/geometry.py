@@ -78,7 +78,9 @@ def _state_checks(mean: np.ndarray, scale: np.ndarray):
     # ``.all``/``.any`` are these reductions behind a Python-level wrapper
     finite = np.logical_and.reduce(np.isfinite(mean), axis=-1)
     finite &= np.logical_and.reduce(np.isfinite(scale), axis=(-2, -1))
-    lower = ~np.logical_or.reduce(scale[..., _strict_upper(scale.shape[-1])], axis=-1)
+    # ``np.where``, not a boolean index, which is slow on a stack
+    upper = np.where(_strict_upper(scale.shape[-1]), scale, 0.0)
+    lower = ~np.logical_or.reduce(upper, axis=(-2, -1))
     positive = np.logical_and.reduce(scale.diagonal(axis1=-2, axis2=-1) > 0.0, axis=-1)
     return finite, lower, positive
 

@@ -394,7 +394,7 @@ def execute_sweep(
     config: ExperimentConfig, grid: np.ndarray, workers: int = 1
 ) -> list[SweepResult]:
     """Run every sweep cell, one batch per algorithm/estimator pair, the
-    pairs concurrently if ``workers > 1``.
+    pairs concurrently if ``workers > 1`` (at most one process per pair).
 
     The target and initial state are built once and shared by every cell.
     Results come back in ``sweep_cells`` order regardless of workers.
@@ -409,7 +409,8 @@ def execute_sweep(
     if workers <= 1:
         batches = [_run_sweep_pair(p) for p in payload]
     else:
-        with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
+        # The pool starts all its processes at once: no more than it has batches.
+        with ProcessPoolExecutor(min(workers, len(payload)), initializer=_one_blas_thread) as pool:
             batches = list(pool.map(_run_sweep_pair, payload, chunksize=1))
     by_cell = {res.cell: res for batch in batches for res in batch}
     return [by_cell[cell] for cell in cells]

@@ -12,14 +12,19 @@ closed-form proximal step on the entropy, each in its own geometry:
 Independent runs of one configuration run in lock step: ``run_batch``
 steps B chains held as a stack (means ``(B, d)``, scales ``(B, d, d)``) with
 one call per operation.  Each chain keeps its own schedule and noise, so its
-trace is bitwise the one it has alone, and a diverged chain is frozen while
+trace is bitwise the one it has alone, and a diverged chain stops while
 the others go on.  A single run is the case B = 1.  Each iteration makes
 one potential-oracle call, ``target.evaluate`` at the draws ``C eps + m``:
 its values give the free-energy record, and its gradients (with Price, its
-mean Hessian) give the step.  The W2 record of a target with a closed-form
-optimum is taken after the steps, for blocks of iterates of about
-``_W2_BLOCK`` covariance entries at a time, which bounds the iterates held
-back; the values are bitwise those of one call per iteration.
+mean Hessian) give the step.
+
+The iterations run only the dynamics.  The free energies, the state checks
+of the new states, the W2 records of a target with a closed-form optimum,
+the stops and the final states are settled after the steps, for blocks of
+iterates of about ``_W2_BLOCK`` covariance entries at a time, which bounds
+the iterates held back; each row is bitwise what one call per iteration
+gives.  A chain that fails inside a block steps on, on its own row, to the
+block's end, and those steps are discarded.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -294,11 +300,16 @@ def run_batch(
     ``chains``, run in lock step and returned in that order.
 
     Each chain draws fresh noise per iteration with lineage ``(seed,
-    stream, t)``, records diagnostics at every iterate (the W2 column for
-    blocks of iterates, bitwise as iteration by iteration), and ends diverged,
+    stream, t)``, records diagnostics at every iterate, and ends diverged,
     not raising, at a non-finite or runaway free energy, a non-positive
     step size or a new state that fails the state checks (a failed step's
     state is NaN), keeping its last valid state.
+
+    The loop runs the dynamics only; the records, the stops and the final
+    states are settled for a block of iterates at a time (``_Ledger``),
+    bitwise as iteration by iteration.  A chain that stops inside a block
+    steps on, on its own row, to the block's end, and those steps are
+    discarded.
 
     The noise of a stochastic run comes from one ``_LockStepNoise``, which
     hashes the live chains' lineages for a block of iterations at once and
@@ -311,102 +322,148 @@ def run_batch(
     exact = config.estimator is EstimatorKind.EXACT
     if exact and not isinstance(target, QuadraticPotential):
         raise InvalidParameters("exact-gradient runs require a quadratic target")
-    q_star = quadratic_optimum(target) if isinstance(target, QuadraticPotential) else None
-    # One eigendecomposition per W2 record.  The coupling cost is taken from
-    # the optimum's side, which keeps full accuracy for converged iterates.
-    star_roots = None if q_star is None else _sqrt_and_inv_sqrt(q_star.sigma)
-
-    records: list[list[tuple]] = [[] for _ in chains]
-    w2: list[list[float]] = [[] for _ in chains]
-    pending: list[tuple[list[int], _Chains]] = []  # iterates awaiting their W2 records
-    pending_rows = 0
-    finals: list = [None] * len(chains)
+    ledger = _Ledger(config, target, len(chains))
+    pending: list[_Iterate] = []  # the iterates awaiting settlement
     live = list(range(len(chains)))  # the chain of each row of the stack
     q = _Chains(*(np.repeat(a[None], len(live), axis=0) for a in (q0.mean, q0.scale)))
     price = config.estimator is EstimatorKind.BONNET_PRICE
-    eps = evaluation = None
+    eps = evaluation = values = None
     if not exact:
         noise = _LockStepNoise([(seed, stream) for _, seed, stream in chains], config.minibatch, q0.dim)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(config.max_iters + 1):
             gammas = [chains[c][0].step_at(t) for c in live]
-            if exact:
-                fe, se = free_energy_exact_quadratic(q, target), np.zeros(len(live))
-            else:
+            if not exact:
                 # Row by row, the draws of draw_noise(d, M, seed, stream, t).
                 eps = noise.draw(live, t)
                 evaluation = target.evaluate(sample(q, eps), price)
-                fe, se = _energy_estimate(q, evaluation[0])
-            fe = fe.tolist()
-            bad = [not math.isfinite(v) or v > config.divergence_threshold for v in fe]
-            for c, gamma, energy, error, runaway in zip(live, gammas, fe, se.tolist(), bad):
-                records[c].append((t, gamma, energy, error, math.nan, runaway))
-            if q_star is not None:
-                # No state is written in place (``_step`` and ``_freeze``
-                # return new arrays), so an iterate can wait for its record.
-                pending.append((live, q))
-                pending_rows += len(live)
-                if pending_rows * q0.dim**2 >= _W2_BLOCK:
-                    _flush_w2(q_star, star_roots, pending, w2)
-                    pending_rows = 0
+                values = evaluation[0]
+            # No state is written in place, so an iterate can wait for its records.
+            pending.append(_Iterate(t, gammas, q, values))
             if t == config.max_iters:
+                ledger.settle(live, pending, None)
                 break
-            # A chain whose energy ran away takes the step too, and is
-            # dropped with the chains whose new state is invalid.  A
-            # non-positive step size is taken as NaN, which no state passes.
+            # A non-positive step size is taken as NaN, which no state passes.
             steps = [g if g > 0.0 else math.nan for g in gammas]
             mean, scale = _step(config.algorithm, config.estimator, target, q, eps, evaluation, steps)
-            finite, lower, positive = _state_checks(mean, scale)
-            valid = (finite & lower & positive).tolist()
-            failed = [b or not v for b, v in zip(bad, valid)]
-            if any(failed):
-                for row in np.flatnonzero(failed):
-                    rec = records[live[row]]
-                    rec[-1] = (*rec[-1][:-1], True)
-                live, (mean, scale) = _freeze(failed, live, q, finals, mean, scale)
-                if not live:
-                    break
             q = _Chains(mean, scale)
-        if pending:
-            _flush_w2(q_star, star_roots, pending, w2)
-    _freeze([True] * len(live), live, q, finals)
+            if len(pending) * len(live) * q0.dim**2 >= _W2_BLOCK:
+                stopped = ledger.settle(live, pending, q)
+                pending = []
+                if stopped:
+                    keep = [row not in stopped for row in range(len(live))]
+                    live = [c for c, k in zip(live, keep) if k]
+                    if not live:
+                        break
+                    q = _Chains(q.mean[keep], q.scale[keep])
     return [
-        RunTrace(_record_array(rec, values), GaussianVariational(*final), seed, stream)
-        for rec, values, final, (_, seed, stream) in zip(records, w2, finals, chains)
+        RunTrace(
+            np.rec.fromrecords(rows, dtype=_TRACE_ROW), GaussianVariational(*final), seed, stream
+        )
+        for rows, final, (_, seed, stream) in zip(ledger.rows, ledger.finals, chains)
     ]
 
 
-def _record_array(rows: list[tuple], w2: list[float]) -> np.recarray:
-    """A chain's records, with its W2 column when it has one."""
-    records = np.rec.fromrecords(rows, dtype=_TRACE_ROW)
-    if w2:
-        records["w2_sq"] = w2
-    return records
-
-
-def _freeze(stop: list[bool], live: list[int], q: _Chains, finals: list, *arrays):
-    """Freeze the rows where ``stop`` holds at ``q``; keep the rest of ``live``, ``arrays``."""
-    keep = [not s for s in stop]
-    for row in np.flatnonzero(stop):
-        finals[live[row]] = (q.mean[row], q.scale[row])
-    return [c for c, k in zip(live, keep) if k], [a[keep] for a in arrays]
-
-
 #: Covariance entries (``sum B d^2`` over the iterates) that make one block
-#: of W2 records: at d = 5 one chain takes 41 iterates per block, at d >= 32
-#: each iterate is its own block.
+#: of iterates to settle: at d = 5 one chain takes 41 iterates per block, at
+#: d >= 32 each iterate is its own block.
 _W2_BLOCK = 1024
 
 
-def _flush_w2(q_star, star_roots, pending: list, w2: list[list[float]]):
-    """Take the W2 records of the ``pending`` ``(live, q)`` iterates in one
-    stacked call, append each to its chain's list and empty ``pending``."""
-    block = _Chains(*(np.concatenate(a) for a in zip(*(q for _, q in pending))))
-    values = iter(_w2_records(q_star, star_roots, block))
-    for live, _ in pending:
-        for c, value in zip(live, values):
-            w2[c].append(value)
-    pending.clear()
+class _Iterate(NamedTuple):
+    """An iterate of the live chains: the step sizes their schedules give
+    at ``t``, their states and the potential's values at their draws
+    (``None`` for exact gradients)."""
+
+    t: int
+    gammas: list
+    q: _Chains
+    values: np.ndarray | None
+
+
+def _rows(arrays: list) -> np.ndarray:
+    """The stacks ``arrays`` as one stack, in order; a single one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class _Ledger:
+    """The record rows and final states of ``run_batch``'s chains, settled
+    for a block of iterates at a time: the free energies, the state checks
+    and the W2 records take one stacked call each per block, and each row
+    gets the bits of one call per iterate."""
+
+    def __init__(self, config: OptimizerConfig, target: Potential, n_chains: int):
+        self.rows: list[list[tuple]] = [[] for _ in range(n_chains)]
+        self.finals: list = [None] * n_chains
+        self.threshold = config.divergence_threshold
+        self.exact = config.estimator is EstimatorKind.EXACT
+        self.target = target
+        self.q_star = quadratic_optimum(target) if isinstance(target, QuadraticPotential) else None
+        # One eigendecomposition per W2 record.  The coupling cost is taken
+        # from the optimum's side, which keeps full accuracy for converged
+        # iterates.
+        self.star_roots = None if self.q_star is None else _sqrt_and_inv_sqrt(self.q_star.sigma)
+
+    def settle(self, live: list[int], pending: list[_Iterate], new: _Chains | None) -> list[int]:
+        """Write the rows of the ``pending`` iterates of the chains
+        ``live``, one row of each stack per chain, where ``new`` is the
+        state after the last (``None`` at the run's end), and return the
+        rows of the chains that stopped.
+
+        A chain stops at its first iterate whose free energy is non-finite
+        or above the threshold, or whose new state fails the state checks.
+        That row is marked diverged, its iterate is the chain's final state
+        and the chain's later iterates in the block are dropped.  At the
+        run's end each chain's last iterate is its final state."""
+        # Row ``i * b + j`` of a block stack is chain ``live[j]`` at its i-th iterate.
+        k, b = len(pending), len(live)
+        q = _Chains(_rows([p.q.mean for p in pending]), _rows([p.q.scale for p in pending]))
+        if self.exact:
+            energy = free_energy_exact_quadratic(q, self.target)
+            error = np.zeros(energy.shape)
+        else:
+            energy, error = _energy_estimate(q, _rows([p.values for p in pending]))
+        energy, error = energy.tolist(), error.tolist()
+        failed = [not (math.isfinite(e) and e <= self.threshold) for e in energy]
+        after = [p.q for p in pending[1:]] + ([] if new is None else [new])
+        if after:
+            mean, scale = _rows([a.mean for a in after]), _rows([a.scale for a in after])
+            finite, lower, positive = _state_checks(mean, scale)
+            valid = (finite & lower & positive).tolist()
+            failed[: len(valid)] = [f or not v for f, v in zip(failed, valid)]
+        stopped, ends = [], [k - 1] * b  # the last iterate each chain keeps
+        kept = range(k * b)  # the rows written
+        if True in failed:
+            for j in range(b):
+                column = failed[j::b]
+                if True in column:
+                    stopped.append(j)
+                    ends[j] = column.index(True)
+            kept = [row for row in kept if row // b <= ends[row % b]]
+        w2 = [math.nan] * (k * b)
+        if self.q_star is not None:
+            if not stopped:
+                w2 = _w2_records(self.q_star, self.star_roots, q)
+            else:
+                block = _Chains(q.mean[kept], q.scale[kept])
+                for row, value in zip(kept, _w2_records(self.q_star, self.star_roots, block)):
+                    w2[row] = value
+        rows = zip(
+            [self.rows[c].append for c in live] * k, [p.t for p in pending for _ in live],
+            [g for p in pending for g in p.gammas], energy, error, w2,
+        )
+        if stopped:
+            every = list(rows)
+            rows = [every[row] for row in kept]
+        for append, t, gamma, value, se, w2_sq in rows:
+            append((t, gamma, value, se, w2_sq, False))
+        for j in stopped:
+            chain = self.rows[live[j]]
+            chain[-1] = (*chain[-1][:-1], True)
+        for j in range(b) if new is None else stopped:
+            row = ends[j] * b + j
+            self.finals[live[j]] = (q.mean[row], q.scale[row])
+        return stopped
 
 
 def _w2_records(q_star, star_roots, q: _Chains) -> list:

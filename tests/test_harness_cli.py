@@ -391,6 +391,38 @@ class TestSweepCommand:
         parallel = execute_sweep(config, grid, workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers, processes", [(2, 2), (4, 4), (5, 4), (500, 4)])
+    def test_pool_has_at_most_one_process_per_batch(self, monkeypatch, tmp_path, workers, processes):
+        # The pool forks all its processes when it starts; the stub starts
+        # none and records how many it was asked for.
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(bwvi.harness, "ProcessPoolExecutor", InProcessPool)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(quadratic_config(repetitions=2, iterations=5)))
+        outs = []
+        for n in (1, workers):
+            out = tmp_path / f"sweep{n}.csv"
+            assert cli.main([
+                "sweep", str(config_path), "--points", "3", "--workers", str(n), "--out", str(out),
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert pools == [processes]
+        assert outs[0] == outs[1]
+
     def test_unstable_step_sizes_marked_diverged(self, tmp_path):
         config = quadratic_config(
             target={"kind": "quadratic", "dim": 3, "condition_number": 100.0, "seed": 2},

@@ -1,5 +1,6 @@
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -22,7 +23,8 @@ from bwvi.optimizers import (
     Algorithm,
     OptimizerConfig,
     _cholesky,
-    _flush_w2,
+    _Iterate,
+    _Ledger,
     _w2_records,
     entropy_prox,
     jko_entropy,
@@ -743,6 +745,79 @@ class TestW2Blocks:
             assert len(calls) == max_iters + 1  # 2500 entries: one iterate per block
 
 
+@dataclass(frozen=True)
+class CountingQuadratic(QuadraticPotential):
+    """Quadratic that counts its ``evaluate`` calls."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def evaluate(self, z, hessian):
+        self.calls.append(None)
+        return super().evaluate(z, hessian)
+
+
+class TestSettledBlocks:
+    """The loop runs only the dynamics; energies, state checks, stops and
+    records are settled once per block of iterates."""
+
+    @pytest.mark.parametrize("dim, max_iters", [(5, 400), (50, 30)])
+    def test_energy_and_state_check_calls(self, monkeypatch, dim, max_iters):
+        calls = {"_energy_estimate": 0, "_state_checks": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(bwvi.optimizers, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(bwvi.optimizers, name, counting)
+        target = random_quadratic(dim, 10.0, seed=2)
+        q0 = GaussianVariational.isotropic(dim, 0.0, 0.34)
+        trace = run(OptimizerConfig(max_iters=max_iters), target, q0, constant_schedule(1e-3), seed=0)
+        assert not trace.diverged
+        if dim == 5:
+            blocks = math.ceil((max_iters + 1) * 25 / 1024)  # 10
+            assert calls == {"_energy_estimate": blocks, "_state_checks": blocks}
+        else:  # one iterate per block; the last has no step to check
+            assert calls == {"_energy_estimate": max_iters + 1, "_state_checks": max_iters}
+
+    @pytest.mark.parametrize(
+        "algorithm, estimator", PAIRS + [(a, EstimatorKind.EXACT) for a in Algorithm]
+    )
+    def test_chain_stopping_inside_a_block(self, algorithm, estimator):
+        # At d = 5 one chain takes 41 iterates per block; a NaN step at
+        # t = 100, inside the block from t = 82, makes a NaN state that the
+        # chain steps on from to the block's end.
+        base = random_quadratic(5, 10.0, seed=4)
+        target = CountingQuadratic(base.precision, base.center)
+        q0 = GaussianVariational.isotropic(5, 0.0, 0.34)
+        config = OptimizerConfig(algorithm=algorithm, estimator=estimator, max_iters=300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(config, target, q0, ZeroAt(0.01, 100, math.nan), seed=0)
+        assert trace.diverged and trace.records.t[-1] == 100
+        # The run cut at t = 100 has the same records and ends at the same iterate.
+        upto = run(replace(config, max_iters=100), base, q0, constant_schedule(0.01), seed=0)
+        expected = upto.records.copy()
+        expected[-1].gamma, expected[-1].diverged = math.nan, True
+        assert trace.records.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(trace.final_state.mean, upto.final_state.mean)
+        np.testing.assert_array_equal(trace.final_state.scale, upto.final_state.scale)
+        if estimator is not EstimatorKind.EXACT:
+            assert 101 <= len(target.calls) <= 101 + 41  # at most one block past the stop
+
+    def test_stack_stopping_in_its_first_block_ends_there(self):
+        # Three chains at d = 5 take 14 iterates per block.
+        base = random_quadratic(5, 10.0, seed=4)
+        target = CountingQuadratic(base.precision, base.center)
+        q0 = GaussianVariational.isotropic(5, 0.0, 0.34)
+        config = OptimizerConfig(max_iters=300)
+        chains = [(ZeroAt(0.01, 3), 0, 0), (ZeroAt(0.01, 9, math.nan), 0, 1), (ZeroAt(0.01, 5), 0, 2)]
+        traces = run_batch(config, target, q0, chains)
+        assert len(target.calls) == 14
+        assert [len(t.records) for t in traces] == [4, 10, 6]
+        for chain, trace in zip(chains, traces):
+            assert_same_trace(trace, run(config, base, q0, *chain))
+
+
 class TestConfigValidation:
     def test_rejects_bad_minibatch(self):
         with pytest.raises(InvalidParameters):
@@ -772,8 +847,9 @@ def test_w2_record_of_an_overflowing_chain_is_inf():
 
 
 def test_w2_block_with_overflowing_rows_is_inf_there_only():
-    # A block of four iterates of two chains: chain 0's covariance overflows
-    # at its second, chain 1's squared mean shift at its third.
+    # A block of three iterates of two chains: chain 0's covariance overflows
+    # at its second, chain 1's squared mean shift at its third.  Both states
+    # are valid and their energies finite, so neither chain stops.
     target = random_quadratic(2, 5.0, seed=3)
     q_star = quadratic_optimum(target)
     rng = np.random.default_rng(9)
@@ -784,10 +860,16 @@ def test_w2_block_with_overflowing_rows_is_inf_there_only():
     def stack(*states):
         return _Chains(*(np.stack([getattr(q, a) for q in states]) for a in ("mean", "scale")))
 
-    pending = [([0, 1], stack(s[0], s[1])), ([0, 1], stack(overflowing, s[2])), ([1], stack(far)), ([0], stack(s[3]))]
-    w2 = [[], []]
+    values = np.zeros((2, 8))
+    pending = [
+        _Iterate(0, [0.1, 0.1], stack(s[0], s[1]), values),
+        _Iterate(1, [0.1, 0.1], stack(overflowing, s[2]), values),
+        _Iterate(2, [0.1, 0.1], stack(s[3], far), values),
+    ]
+    ledger = _Ledger(OptimizerConfig(), target, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        _flush_w2(q_star, _sqrt_and_inv_sqrt(q_star.sigma), pending, w2)
-    assert pending == []
+        assert ledger.settle([0, 1], pending, stack(s[0], s[1])) == []
+    w2 = [[row[4] for row in rows] for rows in ledger.rows]
     direct = [w2_distance_sq(q_star, q) for q in s]
     assert w2 == [[direct[0], math.inf, direct[3]], [direct[1], direct[2], math.inf]]
+    assert ledger.finals == [None, None]  # no chain stopped, and the run goes on
