@@ -68,6 +68,17 @@ def _tril(a: np.ndarray) -> np.ndarray:
     return np.where(_strict_upper(a.shape[-1]), 0.0, a)
 
 
+def _row_blocks(n: int, rows: int) -> list[slice]:
+    """``ceil(n / rows)`` slices of near-equal length covering ``range(n)``.
+
+    With ``rows >= 4`` no slice of a split has one row, which ``matmul``
+    would take as a matrix-vector product and round differently from the
+    same row inside a larger product.
+    """
+    k = -(-n // rows)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def _check_square(a: np.ndarray):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")

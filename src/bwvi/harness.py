@@ -66,6 +66,11 @@ SWEEP_ESTIMATORS = (EstimatorKind.BONNET_PRICE, EstimatorKind.BONNET_REPARAM)
 # Stream tag separating evaluation noise from training noise in a lineage.
 _EVAL_STREAM_OFFSET = 1 << 20
 
+# A quadratic target's eigenvalues lie in [1 / _SPECTRUM_MAX, _SPECTRUM_MAX]:
+# its precision (entries up to L, symmetrized as a sum of two) and its
+# optimum's covariance (entries up to 1 / mu) then stay finite, with room.
+_SPECTRUM_MAX = 1e300
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -136,7 +141,14 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
             _is_int(target_seed) and target_seed >= 0, "target.seed", "must be an integer >= 0"
         )
         mu = target.get("strong_convexity", 1.0)
-        _require(_is_number(mu) and mu > 0.0, "target.strong_convexity", "must be a number > 0")
+        _require(
+            _is_number(mu) and 1.0 / _SPECTRUM_MAX <= mu <= _SPECTRUM_MAX,
+            "target.strong_convexity", "must be a number in [1e-300, 1e300]",
+        )
+        _require(
+            mu * kappa <= _SPECTRUM_MAX, "target.condition_number",
+            "strong_convexity * condition_number must be <= 1e300",
+        )
         center_scale = target.get("center_scale", 1.0)
         _require(_is_number(center_scale), "target.center_scale", "must be a number")
     else:
@@ -230,13 +242,18 @@ def build_target(config: ExperimentConfig) -> Potential:
     """
     spec = config.target
     if spec["kind"] == "quadratic":
-        return random_quadratic(
-            dim=int(spec["dim"]),
-            condition_number=float(spec.get("condition_number", 1.0)),
-            seed=int(spec.get("seed", 0)),
-            strong_convexity=float(spec.get("strong_convexity", 1.0)),
-            center_scale=float(spec.get("center_scale", 1.0)),
-        )
+        try:
+            return random_quadratic(
+                dim=int(spec["dim"]),
+                condition_number=float(spec.get("condition_number", 1.0)),
+                seed=int(spec.get("seed", 0)),
+                strong_convexity=float(spec.get("strong_convexity", 1.0)),
+                center_scale=float(spec.get("center_scale", 1.0)),
+            )
+        except NotPositiveDefinite as err:  # the rotation's round-off swamps mu
+            raise InvalidParameters(
+                f"config field 'target.condition_number': too large for float64, {err}"
+            ) from err
     design, labels = load_logistic_dataset(spec["dataset"])
     return LogisticRidgePotential(design, labels, float(spec["ridge"]))
 

@@ -26,7 +26,7 @@ from .errors import (
     NotPositiveDefinite,
     ParseError,
 )
-from .geometry import GaussianVariational, _identity, cholesky_factor, symmetrize
+from .geometry import GaussianVariational, _identity, _row_blocks, cholesky_factor, symmetrize
 
 __all__ = [
     "PotentialMetadata",
@@ -156,6 +156,16 @@ def quadratic_optimum(target: QuadraticPotential) -> GaussianVariational:
     return GaussianVariational(target.center, cholesky_factor(sigma_star))
 
 
+#: Bytes of each ``(rows, n_data)`` temporary of a row block of
+#: ``LogisticRidgePotential.value``: 256 rows on 48 data points.  At this
+#: size the temporaries stay under glibc's 128 KiB mmap threshold and reuse
+#: the heap; the whole ``(4096, 48)`` arrays of a free-energy estimate fault
+#: in fresh pages on every call (``free_energy_mc`` on the bundled dataset,
+#: 2-core x86-64 host: 798 against 219 minor faults and 4.2-6.2 against
+#: 2.7-2.8 ms per call).  Blocks of 1024 rows, 384 KiB, gave no gain.
+_VALUE_BLOCK_BYTES = 96 * 1024
+
+
 def _sigmoid(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-t))`` from ``e = exp(-|t|)``: ``1 / (1 + e)`` where
     ``t >= 0``, ``e / (1 + e)`` elsewhere, so nothing overflows."""
@@ -233,7 +243,13 @@ class LogisticRidgePotential(Potential):
 
     def value(self, x):
         x = self._check_point(x)
-        return self._value(x, *self._logits(x))
+        if x.ndim != 2:
+            return self._value(x, *self._logits(x))
+        rows = max(4, _VALUE_BLOCK_BYTES // (8 * self.labels.shape[0]))
+        values = np.empty(x.shape[0])
+        for block in _row_blocks(x.shape[0], rows):
+            values[block] = self._value(x[block], *self._logits(x[block]))
+        return values
 
 
 def _utf8_text(path) -> str:

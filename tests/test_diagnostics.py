@@ -12,7 +12,7 @@ from bwvi.diagnostics import (
     theory_constants,
 )
 from bwvi.errors import InvalidParameters
-from bwvi.estimators import EstimatorKind
+from bwvi.estimators import EstimatorKind, _bw_gradient, _param_gradient
 from bwvi.geometry import (
     GaussianVariational,
     optimal_transport_map,
@@ -188,6 +188,40 @@ class CountingQuadratic(QuadraticPotential):
         return super().evaluate(z, hessian)
 
 
+def whole_array_second_moment(kind, geometry, q, q_star, target, n, seed):
+    """``estimator_second_moment`` on all ``n`` draws at once: one
+    ``evaluate`` call, the field of every draw in one ``einsum``, one mean;
+    the reference for its row blocks."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
+    gradient = _bw_gradient if geometry == "bw" else _param_gradient
+    if geometry == "bw":
+        linear, shift = optimal_transport_map(q, q_star)
+        x = sample(q, rng.standard_normal((n, q.dim)))
+        x_star = x @ linear.T + shift
+    eps = evaluation = None
+    if kind is not EstimatorKind.EXACT:
+        eps = rng.standard_normal((n, q.dim))
+        u, g, mean_hess = target.evaluate(sample(q, eps), kind is EstimatorKind.BONNET_PRICE)
+        eps, evaluation = eps[:, None], (u[:, None], g[:, None], mean_hess)
+    estimate = gradient(kind, target, q, eps, evaluation)
+    reference = gradient(EstimatorKind.EXACT, target, q_star, None)
+    if geometry == "bw":
+
+        def field(pair, centered):
+            return pair[0] + 2.0 * np.einsum("...ij,...j->...i", pair[1], centered, optimize=True)
+
+        diff = field(estimate, x - q.mean) - field(reference, x_star - q_star.mean)
+        values = np.sum(diff * diff, axis=-1)
+    else:
+        loc_diff, scale_diff = estimate[0] - reference[0], estimate[1] - reference[1]
+        values = np.sum(loc_diff**2, axis=-1) + np.sum(scale_diff**2, axis=(-2, -1))
+    return float(np.broadcast_to(values, (n,)).mean())
+
+
+# Two whole blocks plus 0, 1, 2 and 7 rows, and sizes within one block.
+BLOCKED_SIZES = [2 * 4096, 2 * 4096 + 1, 2 * 4096 + 2, 2 * 4096 + 7, 1, 2, 50, 4096]
+
+
 class TestSecondMoment:
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     @pytest.mark.parametrize("geometry", ["bw", "param"])
@@ -209,6 +243,37 @@ class TestSecondMoment:
         estimator_second_moment(kind, geometry, q, quadratic_optimum(quad), target, n=50)
         stochastic = kind is not EstimatorKind.EXACT
         assert target.calls == Counter(evaluate=1 if stochastic else 0)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("geometry", ["bw", "param"])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_row_blocks_equal_the_whole_array(self, kind, geometry, dim):
+        target = random_quadratic(dim, 4.0, seed=20 + dim)
+        q_star = quadratic_optimum(target)
+        q = random_state(np.random.default_rng(30 + dim), dim, mean_scale=1.5)
+        for n in BLOCKED_SIZES:
+            got = estimator_second_moment(kind, geometry, q, q_star, target, n=n, seed=n)
+            want = whole_array_second_moment(kind, geometry, q, q_star, target, n, n)
+            assert got.hex() == want.hex(), n
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.BONNET_PRICE, EstimatorKind.BONNET_REPARAM])
+    def test_one_evaluation_per_row_block(self, kind):
+        quad = random_quadratic(3, 4.0, seed=12)
+        seen = []
+
+        class RowRecorder(QuadraticPotential):
+            def evaluate(self, z, hessian):
+                seen.append(z)
+                return super().evaluate(z, hessian)
+
+        target = RowRecorder(quad.precision, quad.center)
+        q = random_state(np.random.default_rng(5), 3)
+        n = 3 * 4096 + 7
+        estimator_second_moment(kind, "param", q, quadratic_optimum(quad), target, n=n, seed=3)
+        assert [len(z) for z in seen] == [3073, 3074, 3074, 3074]  # ceil(n / 4096) blocks
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(97,)))
+        every_row = sample(q, rng.standard_normal((n, 3)))
+        assert np.array_equal(np.concatenate(seen), every_row)
 
     def test_zero_for_exact_gradients_at_optimum(self):
         target = random_quadratic(3, 4.0, seed=8)

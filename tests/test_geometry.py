@@ -9,6 +9,7 @@ from bwvi.geometry import (
     LOG_2PI,
     GaussianVariational,
     _Chains,
+    _row_blocks,
     _sqrt_and_inv_sqrt,
     _sqrt_symmetric,
     _state_checks,
@@ -327,3 +328,15 @@ class TestSample:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sample(GaussianVariational.isotropic(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("rows", [4, 256, 4096])
+def test_row_blocks_split_evenly_without_one_row_blocks(rows):
+    for n in [*range(1, 3 * rows + 9), 10 * rows + 1]:
+        blocks = _row_blocks(n, rows)
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(blocks) == math.ceil(n / rows)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= rows
+        assert min(sizes) >= min(n, 2), n  # one row takes matmul's vector path

@@ -102,6 +102,16 @@ MALFORMED_RUN_CONFIGS = [
     ),
     ({"schedule": {"kind": "constant", "gamma": 0.01, "gama": 5}}, "schedule.gama"),
     ({"init": {"varaince": 9.0}}, "init.varaince"),
+    # spectra that overflow or underflow float64, or that its round-off loses
+    (
+        {"target": {"kind": "quadratic", "dim": 3, "strong_convexity": 1e300,
+                    "condition_number": 1e10}},
+        "target.condition_number",
+    ),
+    ({"target": {"kind": "quadratic", "dim": 3, "strong_convexity": 1e308}}, "target.strong_convexity"),
+    ({"target": {"kind": "quadratic", "dim": 3, "strong_convexity": 1e-320}}, "target.strong_convexity"),
+    ({"target": {"kind": "quadratic", "dim": 5, "condition_number": 1e308}}, "target.condition_number"),
+    ({"target": {"kind": "quadratic", "dim": 5, "condition_number": 1e300}}, "target.condition_number"),
 ]
 
 
@@ -110,7 +120,9 @@ class TestMalformedInput:
     def test_run_exits_2_naming_the_field(self, tmp_path, capsys, overrides, field):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(quadratic_config(**overrides)))
-        assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", str(config_path), "--out", str(tmp_path / "t.csv")]) == 2
         assert field in capsys.readouterr().err
 
     def test_sizes_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -187,6 +199,8 @@ QUADRATIC_THEOREM = {"target": BASE_TARGETS[0], "schedule": BASE_SCHEDULES[1]}
 @example(**QUADRATIC_THEOREM, path=("init", "mean"), value=1e300)
 @example(**QUADRATIC_THEOREM, path=("init", "variance"), value=1.7e308)
 @example(**QUADRATIC_THEOREM, path=("target", "condition_number"), value=1e8)
+@example(**QUADRATIC_THEOREM, path=("target", "strong_convexity"), value=1e308)
+@example(**QUADRATIC_THEOREM, path=("target", "strong_convexity"), value=1e-320)
 @given(
     target=st.sampled_from(BASE_TARGETS),
     schedule=st.sampled_from(BASE_SCHEDULES),

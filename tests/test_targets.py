@@ -1,4 +1,5 @@
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from bwvi.targets import (
     quadratic_optimum,
     random_quadratic,
 )
+
+
+BUNDLED = files("bwvi.data") / "toy_logistic.csv"
 
 
 def toy_logistic(ridge=0.5):
@@ -127,6 +131,38 @@ class TestLogisticRidge:
             np.testing.assert_allclose(grads[k], grad_at(t, xs[k]), atol=1e-13)
         per_point = np.mean([hessian_at(t, x) for x in xs], axis=0)
         np.testing.assert_allclose(mean_hess, per_point, atol=1e-14)
+
+
+def whole_array_value(target, x):
+    """The logistic ``value`` of every row of ``x`` at once, written out;
+    the reference for its row blocks."""
+    t = x @ target.design.T
+    e = np.exp(-np.abs(t))
+    loss = np.log1p(e) + np.maximum(t, 0.0) - target.labels * t
+    return np.add.reduce(loss, axis=-1) + 0.5 * target.ridge * np.add.reduce(x * x, axis=-1)
+
+
+class TestLogisticValueBlocks:
+    def test_bundled_dataset_in_256_row_blocks(self):
+        target = LogisticRidgePotential(*load_logistic_dataset(BUNDLED), ridge=0.1)
+        rng = np.random.default_rng(11)
+        # two whole blocks plus 0, 1, 2 and 7 rows, sizes within one block,
+        # and a free-energy estimate's 4096 draws; a row evaluated alone
+        # rounds differently about one time in four, hence several draws
+        for n in (512, 513, 514, 519, 257, 1, 2, 255, 256, 4096):
+            for _ in range(8):
+                x = rng.standard_normal((n, target.dim))
+                got, want = target.value(x), whole_array_value(target, x)
+                assert got.shape == (n,) and np.array_equal(got, want), n
+
+    def test_wide_dataset_keeps_four_rows_a_block(self):
+        # 5000 data points would allow 2 rows a block; blocks keep at least 4
+        rng = np.random.default_rng(12)
+        design = rng.standard_normal((5000, 3))
+        target = LogisticRidgePotential(design, (rng.random(5000) < 0.5) * 1.0, ridge=1.0)
+        for n in (8, 9, 10, 15, 4, 1):
+            x = rng.standard_normal((n, 3))
+            assert np.array_equal(target.value(x), whole_array_value(target, x)), n
 
 
 def where_sigmoid(t):
