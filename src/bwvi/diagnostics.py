@@ -149,7 +149,7 @@ def bregman_energy_quadratic(
 #: Draws per row block of ``estimator_second_moment``.  Its ``(n, d)``
 #: temporaries on 1e5 draws fault in fresh pages on every call; in blocks
 #: of 4096 a variance-bounds check (40 probes, 2-core x86-64 host) took
-#: 0.83-0.85 s with 7k minor faults against 1.19-1.33 s with 209k whole.
+#: 0.97-1.35 s with 35k minor faults against 1.18-1.57 s with 140k-209k whole.
 #: Blocks of 1024 or 256 rows were slower from their per-block calls.
 _PROBE_BLOCK = 4096
 
@@ -159,8 +159,6 @@ def _bw_field(gradient: tuple[np.ndarray, np.ndarray], centered: np.ndarray) -> 
     ``(location_grad, covariance_grad)`` pair at ``centered = x - m``, one
     row per point (the pair shared or one per point)."""
     loc, cov_grad = gradient
-    if cov_grad.ndim == 2:  # shared: a matrix product, the bits of einsum's BLAS path
-        return loc + 2.0 * (centered @ cov_grad.T)
     return loc + 2.0 * np.einsum("...ij,...j->...i", cov_grad, centered, optimize=True)
 
 

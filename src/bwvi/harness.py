@@ -288,7 +288,13 @@ def build_schedule(
         raise InvalidParameters(
             "config field 'schedule.delta_sq': required for non-quadratic targets"
         )
-    return theorem_schedule(meta.strong_convexity, meta.smoothness, meta.dim, delta_sq)
+    try:
+        return theorem_schedule(meta.strong_convexity, meta.smoothness, meta.dim, delta_sq)
+    except InvalidParameters as err:  # gamma_0 = 1 / (10 L kappa) underflows to 0
+        field = "target.condition_number" if isinstance(target, QuadraticPotential) else "target.ridge"
+        raise InvalidParameters(
+            f"config field '{field}': too wide a spectrum for the theorem schedule, {err}"
+        ) from err
 
 
 def _optimizer_config(config: ExperimentConfig, algorithm, estimator) -> OptimizerConfig:

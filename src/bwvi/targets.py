@@ -162,7 +162,9 @@ def quadratic_optimum(target: QuadraticPotential) -> GaussianVariational:
 #: the heap; the whole ``(4096, 48)`` arrays of a free-energy estimate fault
 #: in fresh pages on every call (``free_energy_mc`` on the bundled dataset,
 #: 2-core x86-64 host: 798 against 219 minor faults and 4.2-6.2 against
-#: 2.7-2.8 ms per call).  Blocks of 1024 rows, 384 KiB, gave no gain.
+#: 2.7-2.8 ms per call).  Blocks of 1024 rows, 384 KiB, gave no gain.  On
+#: wider datasets (500-10000 points, d = 5 or 50) the blocks, down to the
+#: floor of 4 rows, took 1.2-2.8x less time than the whole array.
 _VALUE_BLOCK_BYTES = 96 * 1024
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bwvi.diagnostics import (
+    _PROBE_BLOCK,
     bregman_energy_quadratic,
     estimator_second_moment,
     free_energy_exact_quadratic,
@@ -219,7 +220,7 @@ def whole_array_second_moment(kind, geometry, q, q_star, target, n, seed):
 
 
 # Two whole blocks plus 0, 1, 2 and 7 rows, and sizes within one block.
-BLOCKED_SIZES = [2 * 4096, 2 * 4096 + 1, 2 * 4096 + 2, 2 * 4096 + 7, 1, 2, 50, 4096]
+BLOCKED_SIZES = [*(2 * _PROBE_BLOCK + r for r in (0, 1, 2, 7)), 1, 2, 50, _PROBE_BLOCK]
 
 
 class TestSecondMoment:
@@ -268,9 +269,10 @@ class TestSecondMoment:
 
         target = RowRecorder(quad.precision, quad.center)
         q = random_state(np.random.default_rng(5), 3)
-        n = 3 * 4096 + 7
+        n = 3 * _PROBE_BLOCK + 7
         estimator_second_moment(kind, "param", q, quadratic_optimum(quad), target, n=n, seed=3)
-        assert [len(z) for z in seen] == [3073, 3074, 3074, 3074]  # ceil(n / 4096) blocks
+        k = math.ceil(n / _PROBE_BLOCK)  # blocks of near-equal size, bounds n * i // k
+        assert [len(z) for z in seen] == [n * (i + 1) // k - n * i // k for i in range(k)]
         rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(97,)))
         every_row = sample(q, rng.standard_normal((n, 3)))
         assert np.array_equal(np.concatenate(seen), every_row)

@@ -112,6 +112,17 @@ MALFORMED_RUN_CONFIGS = [
     ({"target": {"kind": "quadratic", "dim": 3, "strong_convexity": 1e-320}}, "target.strong_convexity"),
     ({"target": {"kind": "quadratic", "dim": 5, "condition_number": 1e308}}, "target.condition_number"),
     ({"target": {"kind": "quadratic", "dim": 5, "condition_number": 1e300}}, "target.condition_number"),
+    # spectra whose theorem schedule's gamma_0 = 1 / (10 L kappa) underflows to 0
+    (
+        {"target": {"kind": "quadratic", "dim": 3, "strong_convexity": 1e290,
+                    "condition_number": 1e10}, "schedule": {"kind": "theorem"}},
+        "target.condition_number",
+    ),
+    (
+        {"target": {"kind": "logistic", "dataset": str(files("bwvi.data") / "toy_logistic.csv"),
+                    "ridge": 1e-320}, "schedule": {"kind": "theorem", "delta_sq": 1.0}},
+        "target.ridge",
+    ),
 ]
 
 

@@ -11,6 +11,7 @@ from bwvi.geometry import GaussianVariational, w2_distance_sq
 from bwvi.optimizers import Algorithm, OptimizerConfig, run_batch, spbwgd_step
 from bwvi.schedules import constant_schedule
 from bwvi.targets import (
+    _VALUE_BLOCK_BYTES,
     LogisticRidgePotential,
     Potential,
     QuadraticPotential,
@@ -142,27 +143,49 @@ def whole_array_value(target, x):
     return np.add.reduce(loss, axis=-1) + 0.5 * target.ridge * np.add.reduce(x * x, axis=-1)
 
 
+def value_blocks(target, x):
+    """``target.value(x)`` and the row count of each block it ran on."""
+    sizes = []
+
+    class Recorder(LogisticRidgePotential):
+        def _logits(self, x):
+            sizes.append(len(x))
+            return super()._logits(x)
+
+    return Recorder(target.design, target.labels, target.ridge).value(x), sizes
+
+
+def even_split(n, rows):
+    """Row counts of ``ceil(n / rows)`` blocks with bounds ``n * i // k``."""
+    k = math.ceil(n / rows)
+    return [n * (i + 1) // k - n * i // k for i in range(k)]
+
+
 class TestLogisticValueBlocks:
-    def test_bundled_dataset_in_256_row_blocks(self):
+    def test_bundled_dataset_in_row_blocks(self):
         target = LogisticRidgePotential(*load_logistic_dataset(BUNDLED), ridge=0.1)
+        rows = _VALUE_BLOCK_BYTES // (8 * target.labels.shape[0])
         rng = np.random.default_rng(11)
         # two whole blocks plus 0, 1, 2 and 7 rows, sizes within one block,
         # and a free-energy estimate's 4096 draws; a row evaluated alone
         # rounds differently about one time in four, hence several draws
-        for n in (512, 513, 514, 519, 257, 1, 2, 255, 256, 4096):
+        for n in (*(2 * rows + r for r in (0, 1, 2, 7)), rows + 1, 1, 2, rows - 1, rows, 4096):
             for _ in range(8):
                 x = rng.standard_normal((n, target.dim))
-                got, want = target.value(x), whole_array_value(target, x)
-                assert got.shape == (n,) and np.array_equal(got, want), n
+                got, sizes = value_blocks(target, x)
+                assert sizes == even_split(n, rows), n
+                assert got.shape == (n,) and np.array_equal(got, whole_array_value(target, x)), n
 
     def test_wide_dataset_keeps_four_rows_a_block(self):
-        # 5000 data points would allow 2 rows a block; blocks keep at least 4
         rng = np.random.default_rng(12)
         design = rng.standard_normal((5000, 3))
         target = LogisticRidgePotential(design, (rng.random(5000) < 0.5) * 1.0, ridge=1.0)
+        assert _VALUE_BLOCK_BYTES // (8 * 5000) < 4  # the byte budget alone allows fewer
         for n in (8, 9, 10, 15, 4, 1):
             x = rng.standard_normal((n, 3))
-            assert np.array_equal(target.value(x), whole_array_value(target, x)), n
+            got, sizes = value_blocks(target, x)
+            assert sizes == even_split(n, 4), n
+            assert np.array_equal(got, whole_array_value(target, x)), n
 
 
 def where_sigmoid(t):
