@@ -18,6 +18,7 @@ run as one lock-step batch; sweep workers take whole pairs.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import math
@@ -378,12 +379,18 @@ def _run_sweep_pair(
 
 def sweep_cells(config: ExperimentConfig, grid: np.ndarray) -> list[SweepCell]:
     """Cartesian cell list in deterministic output order."""
-    return [
-        SweepCell(gi, float(g), algo, est, rep)
-        for (gi, g), algo, est, rep in itertools.product(
-            enumerate(grid), SWEEP_ALGORITHMS, SWEEP_ESTIMATORS, range(config.repetitions)
-        )
-    ]
+    try:
+        return [
+            SweepCell(gi, float(g), algo, est, rep)
+            for (gi, g), algo, est, rep in itertools.product(
+                enumerate(grid), SWEEP_ALGORITHMS, SWEEP_ESTIMATORS, range(config.repetitions)
+            )
+        ]
+    except MemoryError as err:
+        raise InvalidParameters(
+            f"argument '--points' and config field 'repetitions': {len(grid)} step sizes x "
+            f"{config.repetitions} repetitions x 4 pairs make more cells than fit in memory"
+        ) from err
 
 
 def _openblas_functions(names: tuple[str, ...]) -> list:
@@ -404,13 +411,29 @@ def _openblas_functions(names: tuple[str, ...]) -> list:
     return found
 
 
+_BLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@contextlib.contextmanager
 def _one_blas_thread():
-    """Pool initializer: one BLAS thread per sweep worker, so that workers
-    times threads stays within the cores; a no-op without a setter."""
-    setters = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-               "openblas_set_num_threads64_", "openblas_set_num_threads")
-    for setter in _openblas_functions(setters):
+    """One OpenBLAS thread in this process while the block runs, restored
+    after: the sweep workers forked in it inherit the count, so that workers
+    times threads stays within the cores.  (Set in a forked worker instead,
+    the count restarts OpenBLAS's thread pool there, whose idle thread spins
+    for about 120 ms of CPU.)"""
+    getters, setters = (
+        _openblas_functions(tuple(name.format(verb) for name in _BLAS_THREADS))
+        for verb in ("get", "set")
+    )
+    before = [get() for get in getters]
+    for setter in setters:
         setter(1)
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, before):
+            setter(count)
 
 
 def execute_sweep(
@@ -433,7 +456,7 @@ def execute_sweep(
         batches = [_run_sweep_pair(p) for p in payload]
     else:
         # The pool starts all its processes at once: no more than it has batches.
-        with ProcessPoolExecutor(min(workers, len(payload)), initializer=_one_blas_thread) as pool:
+        with _one_blas_thread(), ProcessPoolExecutor(min(workers, len(payload))) as pool:
             batches = list(pool.map(_run_sweep_pair, payload, chunksize=1))
     by_cell = {res.cell: res for batch in batches for res in batch}
     return [by_cell[cell] for cell in cells]

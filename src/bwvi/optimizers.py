@@ -21,7 +21,7 @@ mean Hessian) give the step.
 The iterations run only the dynamics.  The free energies, the state checks
 of the new states, the W2 records of a target with a closed-form optimum,
 the stops and the final states are settled after the steps, for blocks of
-iterates of about ``_W2_BLOCK`` covariance entries at a time, which bounds
+iterates of about ``_BLOCK`` covariance entries at a time, which bounds
 the iterates held back; each row is bitwise what one call per iteration
 gives.  A chain that fails inside a block steps on, on its own row, to the
 block's end, and those steps are discarded.
@@ -347,7 +347,7 @@ def run_batch(
             steps = [g if g > 0.0 else math.nan for g in gammas]
             mean, scale = _step(config.algorithm, config.estimator, target, q, eps, evaluation, steps)
             q = _Chains(mean, scale)
-            if len(pending) * len(live) * q0.dim**2 >= _W2_BLOCK:
+            if len(pending) * len(live) * q0.dim**2 >= _BLOCK:
                 stopped = ledger.settle(live, pending, q)
                 pending = []
                 if stopped:
@@ -365,9 +365,10 @@ def run_batch(
 
 
 #: Covariance entries (``sum B d^2`` over the iterates) that make one block
-#: of iterates to settle: at d = 5 one chain takes 41 iterates per block, at
-#: d >= 32 each iterate is its own block.
-_W2_BLOCK = 1024
+#: of iterates to settle, records, state checks, stops and W2 alike: at d = 5
+#: one chain takes 41 iterates per block, at d >= 32 each iterate is its own
+#: block.
+_BLOCK = 1024
 
 
 class _Iterate(NamedTuple):

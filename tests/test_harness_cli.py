@@ -1,9 +1,12 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,17 +30,6 @@ from bwvi.harness import (
     execute_sweep,
     parse_experiment_config,
 )
-
-BLAS_GETTERS = (
-    "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-    "openblas_get_num_threads64_", "openblas_get_num_threads",
-)
-
-
-def blas_threads() -> list[int]:
-    """Thread count of each OpenBLAS library loaded in this process."""
-    return [getter() for getter in bwvi.harness._openblas_functions(BLAS_GETTERS)]
-
 
 def quadratic_config(**overrides):
     raw = {
@@ -163,6 +155,33 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err and "fit in memory" in err
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+    @pytest.mark.parametrize("points, repetitions", [(10**7, 1), (1000, 10**9)])
+    def test_sweep_cells_beyond_memory_exit_2_naming_their_factors(
+        self, tmp_path, points, repetitions
+    ):
+        # numpy holds the grid, but the cell list runs out of the address
+        # space, capped 384 MiB above what the fresh interpreter maps.
+        code = (
+            "import resource, sys; from bwvi import cli\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    limit = int(fh.read().split()[0]) * resource.getpagesize() + (384 << 20)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(quadratic_config(repetitions=repetitions)))
+        src = str(Path(bwvi.harness.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, "sweep", str(config_path), "--points", str(points),
+             "--out", str(tmp_path / "sweep.csv")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error: ")
+        assert all(name in done.stderr for name in ("'--points'", "'repetitions'", "fit in memory"))
+
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     def test_zero_workers_exits_2(self, tmp_path, capsys, command):
         config_path = tmp_path / "config.json"
@@ -173,10 +192,10 @@ class TestMalformedInput:
         assert "--workers" in capsys.readouterr().err
 
 
-BASE_TARGETS = [
-    {"kind": "quadratic", "dim": 2, "condition_number": 5.0, "seed": 3},
-    {"kind": "logistic", "dataset": str(files("bwvi.data") / "toy_logistic.csv"), "ridge": 0.1},
-]
+BUNDLED_LOGISTIC = {
+    "kind": "logistic", "dataset": str(files("bwvi.data") / "toy_logistic.csv"), "ridge": 0.1,
+}
+BASE_TARGETS = [{"kind": "quadratic", "dim": 2, "condition_number": 5.0, "seed": 3}, BUNDLED_LOGISTIC]
 BASE_SCHEDULES = [
     {"kind": "constant", "gamma": 0.01}, {"kind": "theorem"}, {"kind": "theorem", "delta_sq": 2.0},
 ]
@@ -362,24 +381,55 @@ class TestExecuteRun:
             np.testing.assert_array_equal(trace.final_state.mean, alone.final_state.mean)
 
 
-def openblas_libraries() -> int:
-    """Number of OpenBLAS libraries loaded in this process."""
-    with open("/proc/self/maps") as fh:
-        return len({p for p in (line.split()[-1] for line in fh) if "openblas" in p.lower()})
+RUN_SWEEP_PAIR = bwvi.harness._run_sweep_pair
 
 
-def worker_blas() -> tuple[int, list[int]]:
-    return openblas_libraries(), blas_threads()
+def openblas_getters() -> list:
+    """The thread-count getter of each OpenBLAS library loaded in this process."""
+    return bwvi.harness._openblas_functions(
+        tuple(name.format("get") for name in bwvi.harness._BLAS_THREADS)
+    )
 
 
-def test_sweep_worker_uses_one_blas_thread():
+def run_pair_counting_threads(args):
+    """``_run_sweep_pair``, then the thread count of this process, written
+    to a file named by its process id in ``$BWVI_TEST_THREADS``."""
+    results = RUN_SWEEP_PAIR(args)
+    threads = len(os.listdir("/proc/self/task"))
+    (Path(os.environ["BWVI_TEST_THREADS"]) / str(os.getpid())).write_text(str(threads))
+    return results
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("target", [
+    BUNDLED_LOGISTIC,
+    # at d = 32 an uncapped worker wakes an OpenBLAS helper thread
+    {"kind": "quadratic", "dim": 32, "condition_number": 10.0, "seed": 7},
+], ids=["logistic", "quadratic-d32"])
+def test_sweep_worker_stays_single_threaded(monkeypatch, tmp_path, target):
+    if not openblas_getters():
+        pytest.skip("the sweep caps OpenBLAS only")
+    monkeypatch.setattr(bwvi.harness, "_run_sweep_pair", run_pair_counting_threads)
+    monkeypatch.setenv("BWVI_TEST_THREADS", str(tmp_path))
+    config = parse_experiment_config(quadratic_config(target=target, iterations=5))
+    execute_sweep(config, np.geomspace(1e-3, 1e-2, 3), workers=2)
+    threads = {path.name: path.read_text() for path in tmp_path.iterdir()}
+    assert 1 <= len(threads) <= 2 and str(os.getpid()) not in threads
+    assert set(threads.values()) == {"1"}
+
+
+def test_one_blas_thread_caps_every_openblas_and_restores_it():
     pytest.importorskip("scipy.linalg")  # loads scipy's own OpenBLAS next to numpy's
-    if not blas_threads():
+    getters = openblas_getters()
+    if not getters:
         pytest.skip("no OpenBLAS thread-count getter is loaded")
-    with ProcessPoolExecutor(1, initializer=bwvi.harness._one_blas_thread) as pool:
-        libraries, threads = pool.submit(worker_blas).result()
-    assert len(threads) == libraries  # one getter per loaded library
-    assert set(threads) == {1}
+    with open("/proc/self/maps") as fh:
+        libraries = {p for p in (line.split()[-1] for line in fh) if "openblas" in p.lower()}
+    assert len(getters) == len(libraries)  # one getter per loaded library
+    before = [get() for get in getters]
+    with bwvi.harness._one_blas_thread():
+        assert [get() for get in getters] == [1] * len(getters)
+    assert [get() for get in getters] == before
 
 
 class TestSweepCommand:
@@ -409,12 +459,22 @@ class TestSweepCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        config = parse_experiment_config(quadratic_config(repetitions=2, iterations=5))
-        grid = np.geomspace(1e-4, 1e-2, 3)
+    @pytest.mark.parametrize("target, iterations, gamma_max", [
+        (BASE_TARGETS[0], 5, 1e-2),
+        # some cells diverge, the others end with free_energy_mc's estimate
+        (BUNDLED_LOGISTIC, 20, 1.0),
+    ], ids=["quadratic", "logistic"])
+    def test_workers_do_not_change_output(self, target, iterations, gamma_max):
+        config = parse_experiment_config(
+            quadratic_config(target=target, repetitions=2, iterations=iterations)
+        )
+        grid = np.geomspace(1e-4, gamma_max, 3)
         serial = execute_sweep(config, grid, workers=1)
         parallel = execute_sweep(config, grid, workers=2)
         assert serial == parallel
+        if target is BUNDLED_LOGISTIC:
+            assert any(res.diverged for res in serial)
+            assert any(res.final_free_energy is not None for res in serial)
 
     @pytest.mark.parametrize("workers, processes", [(2, 2), (4, 4), (5, 4), (500, 4)])
     def test_pool_has_at_most_one_process_per_batch(self, monkeypatch, tmp_path, workers, processes):
@@ -423,7 +483,7 @@ class TestSweepCommand:
         pools = []
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer=None):
+            def __init__(self, max_workers):
                 pools.append(max_workers)
 
             def __enter__(self):

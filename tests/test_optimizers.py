@@ -673,14 +673,19 @@ class KickedQuadratic(QuadraticPotential):
         return values, g, h
 
 
-class TestW2Blocks:
-    """The W2 column is taken for blocks of iterates after their steps: the
+def iterates_per_block(chains: int, dim: int) -> int:
+    """Iterates in one settled block of ``chains`` live chains at ``dim``."""
+    return math.ceil(bwvi.optimizers._BLOCK / (chains * dim**2))
+
+
+class TestBlockSize:
+    """The records are settled for blocks of iterates after their steps: the
     block size changes no bit of a trace, and the blocks are what the
     coupling-cost calls count."""
 
     def assert_block_size_changes_nothing(self, monkeypatch, config, target, q0, chains):
         blocked = run_batch(config, target, q0, chains)
-        monkeypatch.setattr(bwvi.optimizers, "_W2_BLOCK", 1)  # every iteration its own block
+        monkeypatch.setattr(bwvi.optimizers, "_BLOCK", 1)  # every iteration its own block
         for a, b in zip(blocked, run_batch(config, target, q0, chains), strict=True):
             assert_same_trace(a, b)
         return blocked
@@ -690,15 +695,16 @@ class TestW2Blocks:
         self.assert_block_size_changes_nothing(monkeypatch, *TestRunBatch().batch(algorithm, estimator))
 
     def test_single_chain_freezing_inside_a_block(self, monkeypatch):
-        # At d = 5 one chain takes 41 iterates per block; it stops at
-        # t = 100, inside its third block.
+        # One chain at d = 5 stops in the middle of its third block.
+        per_block = iterates_per_block(1, 5)
+        stop = 2 * per_block + per_block // 2
         target = random_quadratic(5, 10.0, seed=4)
         q0 = GaussianVariational.isotropic(5, 0.0, 0.34)
-        config = OptimizerConfig(max_iters=300)
+        config = OptimizerConfig(max_iters=4 * per_block)
         [trace] = self.assert_block_size_changes_nothing(
-            monkeypatch, config, target, q0, [(ZeroAt(0.01, 100), 0, 0)]
+            monkeypatch, config, target, q0, [(ZeroAt(0.01, stop), 0, 0)]
         )
-        assert trace.diverged and len(trace.records) == 101
+        assert trace.diverged and len(trace.records) == stop + 1
         assert np.isfinite(trace.w2_history).all()
 
     def test_dimension_50(self, monkeypatch):
@@ -708,21 +714,24 @@ class TestW2Blocks:
         chains = [(constant_schedule(1e-3), seed, 0) for seed in (0, 1)]
         self.assert_block_size_changes_nothing(monkeypatch, config, target, q0, chains)
 
-    @pytest.mark.parametrize("max_iters", [25, 60])
-    def test_overflow_inside_a_block_is_inf_in_its_row_only(self, max_iters):
-        # Three chains at d = 5 take 14 iterates per block; chain 1's mean
-        # jumps at t = 21, inside the block from t = 14, which is the run's
-        # last at T = 25.  Its energy and W2 record overflow there, and no
-        # RuntimeWarning escapes.
+    @pytest.mark.parametrize("last_block", [True, False])
+    def test_overflow_inside_a_block_is_inf_in_its_row_only(self, last_block):
+        # Three chains at d = 5; chain 1's mean jumps in the middle of the
+        # second block, which is cut short as the run's last or is not.
+        # Its energy and W2 record overflow there, and no RuntimeWarning
+        # escapes.
+        per_block = iterates_per_block(3, 5)
+        jump = per_block + per_block // 2
         base = random_quadratic(5, 10.0, seed=4)
         q0 = GaussianVariational.isotropic(5, 0.0, 0.34)
-        config = OptimizerConfig(max_iters=max_iters)
+        config = OptimizerConfig(max_iters=2 * per_block - 3 if last_block else 4 * per_block + 4)
         chains = [(constant_schedule(0.01), seed, 0) for seed in range(3)]
-        traces = run_batch(config, KickedQuadratic(base.precision, base.center, at=20, row=1), q0, chains)
+        traces = run_batch(config, KickedQuadratic(base.precision, base.center, at=jump - 1, row=1), q0, chains)
         kicked = traces[1]
-        assert kicked.diverged and len(kicked.records) == 22
+        assert kicked.diverged and len(kicked.records) == jump + 1
         assert kicked.records.w2_sq[-1] == math.inf and np.isfinite(kicked.records.w2_sq[:-1]).all()
-        assert_same_trace(kicked, run(config, KickedQuadratic(base.precision, base.center, at=20), q0, *chains[1]))
+        kicked_alone = KickedQuadratic(base.precision, base.center, at=jump - 1)
+        assert_same_trace(kicked, run(config, kicked_alone, q0, *chains[1]))
         for k in (0, 2):
             assert_same_trace(traces[k], run(config, base, q0, *chains[k]))
 
@@ -740,9 +749,9 @@ class TestW2Blocks:
         trace = run(OptimizerConfig(max_iters=max_iters), target, q0, constant_schedule(1e-3), seed=0)
         assert not trace.diverged
         if dim == 5:
-            assert len(calls) <= math.ceil((max_iters + 1) * 25 / 1024)  # 10 blocks
+            assert len(calls) <= math.ceil((max_iters + 1) / iterates_per_block(1, dim))
         else:
-            assert len(calls) == max_iters + 1  # 2500 entries: one iterate per block
+            assert iterates_per_block(1, dim) == 1 and len(calls) == max_iters + 1
 
 
 @dataclass(frozen=True)
@@ -774,7 +783,7 @@ class TestSettledBlocks:
         trace = run(OptimizerConfig(max_iters=max_iters), target, q0, constant_schedule(1e-3), seed=0)
         assert not trace.diverged
         if dim == 5:
-            blocks = math.ceil((max_iters + 1) * 25 / 1024)  # 10
+            blocks = math.ceil((max_iters + 1) / iterates_per_block(1, dim))
             assert calls == {"_energy_estimate": blocks, "_state_checks": blocks}
         else:  # one iterate per block; the last has no step to check
             assert calls == {"_energy_estimate": max_iters + 1, "_state_checks": max_iters}
@@ -783,37 +792,43 @@ class TestSettledBlocks:
         "algorithm, estimator", PAIRS + [(a, EstimatorKind.EXACT) for a in Algorithm]
     )
     def test_chain_stopping_inside_a_block(self, algorithm, estimator):
-        # At d = 5 one chain takes 41 iterates per block; a NaN step at
-        # t = 100, inside the block from t = 82, makes a NaN state that the
-        # chain steps on from to the block's end.
+        # One chain at d = 5: a NaN step in the middle of its third block
+        # makes a NaN state that the chain steps on from to the block's end.
+        per_block = iterates_per_block(1, 5)
+        stop = 2 * per_block + per_block // 2
         base = random_quadratic(5, 10.0, seed=4)
         target = CountingQuadratic(base.precision, base.center)
         q0 = GaussianVariational.isotropic(5, 0.0, 0.34)
-        config = OptimizerConfig(algorithm=algorithm, estimator=estimator, max_iters=300)
+        config = OptimizerConfig(algorithm=algorithm, estimator=estimator, max_iters=4 * per_block)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = run(config, target, q0, ZeroAt(0.01, 100, math.nan), seed=0)
-        assert trace.diverged and trace.records.t[-1] == 100
-        # The run cut at t = 100 has the same records and ends at the same iterate.
-        upto = run(replace(config, max_iters=100), base, q0, constant_schedule(0.01), seed=0)
+            trace = run(config, target, q0, ZeroAt(0.01, stop, math.nan), seed=0)
+        assert trace.diverged and trace.records.t[-1] == stop
+        # The run cut at the stop has the same records and ends at the same iterate.
+        upto = run(replace(config, max_iters=stop), base, q0, constant_schedule(0.01), seed=0)
         expected = upto.records.copy()
         expected[-1].gamma, expected[-1].diverged = math.nan, True
         assert trace.records.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(trace.final_state.mean, upto.final_state.mean)
         np.testing.assert_array_equal(trace.final_state.scale, upto.final_state.scale)
         if estimator is not EstimatorKind.EXACT:
-            assert 101 <= len(target.calls) <= 101 + 41  # at most one block past the stop
+            assert stop < len(target.calls) <= stop + 1 + per_block  # at most one block past the stop
 
     def test_stack_stopping_in_its_first_block_ends_there(self):
-        # Three chains at d = 5 take 14 iterates per block.
+        # Three chains at d = 5 stop inside their first block.
+        per_block = iterates_per_block(3, 5)
+        stops = (per_block // 4, per_block - 5, per_block // 2 - 2)
         base = random_quadratic(5, 10.0, seed=4)
         target = CountingQuadratic(base.precision, base.center)
         q0 = GaussianVariational.isotropic(5, 0.0, 0.34)
         config = OptimizerConfig(max_iters=300)
-        chains = [(ZeroAt(0.01, 3), 0, 0), (ZeroAt(0.01, 9, math.nan), 0, 1), (ZeroAt(0.01, 5), 0, 2)]
+        chains = [
+            (ZeroAt(0.01, stops[0]), 0, 0), (ZeroAt(0.01, stops[1], math.nan), 0, 1),
+            (ZeroAt(0.01, stops[2]), 0, 2),
+        ]
         traces = run_batch(config, target, q0, chains)
-        assert len(target.calls) == 14
-        assert [len(t.records) for t in traces] == [4, 10, 6]
+        assert len(target.calls) == per_block
+        assert [len(t.records) for t in traces] == [stop + 1 for stop in stops]
         for chain, trace in zip(chains, traces):
             assert_same_trace(trace, run(config, base, q0, *chain))
 
